@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import struct
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -115,30 +114,10 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    from .snapshot import HEADER_BYTES, MAGIC
+    from .snapshot import _read_header
 
-    raw = Path(args.path).read_bytes()
-    if len(raw) < HEADER_BYTES:
-        raise SnapshotFormatError("truncated header")
-    magic, version, n, ncomp, box, flags = struct.unpack("<4sIIIdQ", raw[:32])
-    if magic != MAGIC:
-        raise SnapshotFormatError(f"bad magic {magic!r}")
-    print(
-        json.dumps(
-            {
-                "magic": magic.decode(),
-                "version": version,
-                "n": n,
-                "components": ncomp,
-                "box_length": box,
-                "real_valued": bool(flags & 1),
-                "mean_zero": bool(flags & 2),
-                "div_free": bool(flags & 4),
-                "payload_bytes": len(raw) - HEADER_BYTES,
-            },
-            indent=2,
-        )
-    )
+    with open(args.path, "rb") as fh:
+        print(json.dumps(_read_header(fh), indent=2))
     return EXIT_PASS
 
 

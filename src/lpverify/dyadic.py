@@ -177,10 +177,6 @@ def tail_vector(u, k: int, profile: DyadicProfile = DEFAULT_PROFILE):
     return u.map(lambda c: tail(c, k, profile))
 
 
-def tilde_block_vector(u, l: int, profile: DyadicProfile = DEFAULT_PROFILE):
-    return u.map(lambda c: tilde_block(c, l, profile))
-
-
 # ---------------------------------------------------------------------------
 # Bernstein measurements
 

@@ -241,25 +241,7 @@ def _random_band(grid: TorusGrid, spec: SpectrumSpec, profile) -> VectorField:
             w = np.where(support, r, 1.0) ** (-(spec.alpha + 1.5))
     else:
         w = np.ones_like(r)
-    w = np.where(support, w, 0.0)
-
-    mx, my, mz = grid.mode_cubes
-    sign = _canonical_sign(mx, my, mz)
-    cmx, cmy, cmz = (np.abs(mx), np.abs(my), np.abs(mz))
-    # canonical triple: the lexicographically positive representative
-    canon = sign > 0
-    kx = np.where(canon, mx, -mx)
-    ky = np.where(canon, my, -my)
-    kz = np.where(canon, mz, -mz)
-    del cmx, cmy, cmz
-    comps = []
-    for axis in range(3):
-        theta = 2.0 * math.pi * _mode_uniform(spec.seed, kx, ky, kz, salt=axis + 1)
-        coeffs = w * np.exp(1j * sign * theta)
-        coeffs[0, 0, 0] = 0.0
-        comps.append(SpectralField(grid, coeffs))
-    u = leray_project(VectorField(tuple(comps)))  # type: ignore[arg-type]
-
+    u = _random_phases(grid, np.where(support, w, 0.0), spec.seed)
     targets = {
         k: (
             spec.amplitude * math.ldexp(1.0, k) ** (-spec.alpha)
@@ -270,6 +252,28 @@ def _random_band(grid: TorusGrid, spec: SpectrumSpec, profile) -> VectorField:
     }
     u = _enforce_band_targets(u, targets, profile, sweeps=3)
     return u
+
+
+def _random_phases(grid: TorusGrid, w: np.ndarray, seed: int) -> VectorField:
+    """Leray projection of the field with amplitudes ``w`` and seeded Hermitian phases.
+
+    A function of its own so that the index, phase and unprojected cubes are
+    freed before the band-target sweeps, which set the generator's peak memory.
+    """
+    mx, my, mz = grid.mode_cubes
+    sign = _canonical_sign(mx, my, mz)
+    # canonical triple: the lexicographically positive representative
+    canon = sign > 0
+    kx = np.where(canon, mx, -mx)
+    ky = np.where(canon, my, -my)
+    kz = np.where(canon, mz, -mz)
+    comps = []
+    for axis in range(3):
+        theta = 2.0 * math.pi * _mode_uniform(seed, kx, ky, kz, salt=axis + 1)
+        coeffs = w * np.exp(1j * sign * theta)
+        coeffs[0, 0, 0] = 0.0
+        comps.append(SpectralField(grid, coeffs))
+    return leray_project(VectorField(tuple(comps)))  # type: ignore[arg-type]
 
 
 def _enforce_band_targets(
@@ -328,16 +332,19 @@ def picard_solve(
     """
     if not (0.5 <= s <= 1.0):
         raise PicardError(f"exponent s must lie in [1/2, 1], got {s}")
+    if max_iter < 1:
+        raise PicardError(f"max_iter must be at least 1, got {max_iter}")
     pf = leray_project(f)
     f_norm = pf.l2()
     if f_norm == 0.0:
         zero = VectorField.zeros(f.grid)
         return PicardResult(zero, f, s, 0.0, 1)
     u = _stokes(pf, s)
+    # u.grad u of the current iterate feeds both its residual and the next update
+    adv = products.advective_term(u, u)
     updates: list[float] = []
     grow = 0
     for it in range(1, max_iter + 1):
-        adv = products.advective_term(u, u)
         rhs = leray_project(pf - adv)
         u_next = _stokes(rhs, s)
         upd = (u_next - u).l2()
@@ -351,7 +358,8 @@ def picard_solve(
         else:
             grow = 0
         u = u_next
-        res = _steady_residual(u, pf, s) / f_norm
+        adv = products.advective_term(u, u)
+        res = _steady_residual(u, adv, pf, s) / f_norm
         if res <= tol:
             return PicardResult(u, f, s, res, it, tuple(updates))
     raise PicardError(f"no convergence to {tol} within {max_iter} iterations (last residual {res:.3e})")
@@ -362,7 +370,6 @@ def _stokes(rhs: VectorField, s: float) -> VectorField:
     return VectorField(out.components, div_free=True)
 
 
-def _steady_residual(u: VectorField, pf: VectorField, s: float) -> float:
-    adv = leray_project(products.advective_term(u, u))
-    res = u.map(lambda c: fractional_laplacian(c, s)) + adv - pf
+def _steady_residual(u: VectorField, adv: VectorField, pf: VectorField, s: float) -> float:
+    res = u.map(lambda c: fractional_laplacian(c, s)) + leray_project(adv) - pf
     return res.l2()

@@ -17,8 +17,9 @@ The same decomposition with the advected low-pass seen from above gives
 the J-terms and their removed low-frequency parts.
 
 Here tri(x, y, z) always means  integral of x . grad y . z dx,
-with x advecting, z pairing.  Every block sum is evaluated literally in a
-fixed ascending order, so ledgers are bit-deterministic.
+with x advecting, z pairing.  Block sums are telescoped into psi-band
+symbols and every sum over levels runs in a fixed ascending order, so
+ledgers are bit-deterministic.
 """
 
 from __future__ import annotations
@@ -103,6 +104,24 @@ class TrilinearLedger:
 
 # ---------------------------------------------------------------------------
 # workspace: memoized filtered fields and their physical samples
+#
+# A filter is a tuple of bands; band (a, b) is the radial symbol psi_b - psi_a,
+# psi_j = psi(2^-j |xi|), psi_-inf = 0, psi_+inf = 1.  It telescopes to the
+# blocks a .. b-1: S_m is (-inf, m), Delta_l is (l, l+1), the tail is (k, +inf)
+# and the five-block neighbourhood of l is (l-2, l+3).  psi is exactly 0 or 1
+# on its plateaus, so products of bands keep the zero sets of chained filters.
+
+
+def _band(a, b) -> tuple:
+    return ((a, b),)
+
+
+def _low(m: int) -> tuple:  # S_m
+    return _band(-math.inf, m)
+
+
+def _block(l: int) -> tuple:  # Delta_l
+    return _band(l, l + 1)
 
 
 _WORKSPACE_BYTES = int(os.environ.get("LPVERIFY_BUDGET_BYTES", 0)) // 3 or 1280 * 1024**2
@@ -114,8 +133,8 @@ class _Workspace:
     All fields here are band-limited inside the grid window, so every
     cubic pairing is alias-free on the native lattice (axis bandwidth sums
     stay below n).  Physical samples and gradients are memoized per filter
-    token under a byte budget with oldest-first eviction; spectral fields
-    are rebuilt on demand (multiplier work is cheap next to transforms).
+    under a byte budget with oldest-first eviction; spectral fields are
+    rebuilt on demand (multiplier work is cheap next to transforms).
     """
 
     def __init__(self, u: VectorField, k: int, profile: DyadicProfile):
@@ -134,6 +153,8 @@ class _Workspace:
         # highest level whose block can act on this field
         self.l_top = dyadic._floor_log2(r) + 1 if r > 0 else self.window.k_min
         self.l_bot = self.window.k_min
+        self.low = _low(k)
+        self.tail = _band(k, math.inf)
         self._fields: dict[tuple, VectorField] = {}
         self._phys: dict[tuple, list] = {}
         self._grad: dict[tuple, list] = {}
@@ -158,117 +179,77 @@ class _Workspace:
 
     # -- filtered fields ----------------------------------------------------
 
-    def field(self, token: tuple) -> VectorField:
-        out = self._fields.get(token)
-        if out is not None:
-            return out
-        kind = token[0]
-        p = self.profile
-        if kind == "u":
-            out = self.u
-        elif kind == "Su":
-            out = dyadic.lowpass_vector(self.u, token[1], p)
-        elif kind == "SS":  # S_m S_k u
-            m = token[1]
-            if m < self.k:
-                out = self.field(("Su", m))
-            elif m > self.k:
-                out = self.field(("Su", self.k))
-            else:
-                out = dyadic.lowpass_vector(self.field(("Su", self.k)), self.k, p)
-        elif kind == "SSm":  # S_m S_m1 u
-            m, m1 = token[1], token[2]
-            out = dyadic.lowpass_vector(self.field(("Su", m1)), m, p)
-        elif kind == "tail":
-            out = self.u - self.field(("Su", self.k))
-        elif kind == "D":  # block of the tail
-            out = dyadic.block_vector(self.field(("tail",)), token[1], p)
-        elif kind == "T":  # five-block neighbourhood of the tail
-            l = token[1]
-            out = self.field(("D", l - 2))
-            for lp in range(l - 1, l + 3):
-                out = out + self.field(("D", lp))
-        elif kind == "B":
-            out = dyadic.block_vector(self.u, token[1], p)
-        elif kind == "DS":  # block of S_k u
-            out = dyadic.block_vector(self.field(("Su", self.k)), token[1], p)
-        elif kind == "Stail":
-            out = dyadic.lowpass_vector(self.field(("tail",)), token[1], p)
-        elif kind == "sumB":  # sum of blocks of u over a closed level range
-            a, b = token[1], token[2]
-            out = VectorField.zeros(self.grid)
-            for l in range(a, b + 1):
-                out = out + self.field(("B", l))
-        elif kind == "SsumB":  # S_m applied to a closed block-range sum
-            m, a, b = token[1], token[2], token[3]
-            out = dyadic.lowpass_vector(self.field(("sumB", a, b)), m, p)
-        else:
-            raise KeyError(token)
-        # only the base field and its single-multiplier filtrates are kept;
-        # composites are cheap to rebuild and would dominate the footprint
-        if kind in ("u", "Su", "tail"):
-            self._fields[token] = out
+    def field(self, filt: tuple) -> VectorField:
+        """u times the product of the band symbols in ``filt`` (u itself for ())."""
+        if not filt:
+            return self.u
+        out = self._fields.get(filt)
+        if out is None:
+            sym = 1.0
+            for a, b in filt:
+                hi = 1.0 if b == math.inf else self._psi(b)
+                sym = sym * (hi if a == -math.inf else hi - self._psi(a))
+            out = self.u.map(lambda c: c.apply_multiplier(sym))
+            # single bands are kept; products of bands are cheap to rebuild
+            # and would dominate the footprint
+            if len(filt) == 1:
+                self._fields[filt] = out
         return out
 
-    def is_zero(self, token: tuple) -> bool:
-        flag = self._zero.get(token)
+    def _psi(self, j: int) -> np.ndarray:
+        return dyadic._multiplier(self.grid, "psi", j, self.profile)
+
+    def is_zero(self, filt: tuple) -> bool:
+        flag = self._zero.get(filt)
         if flag is None:
-            flag = all(c.max_abs_coeff() == 0.0 for c in self.field(token).components)
-            self._zero[token] = flag
+            flag = all(c.max_abs_coeff() == 0.0 for c in self.field(filt).components)
+            self._zero[filt] = flag
         return flag
 
-    def phys(self, token: tuple) -> list:
-        out = self._phys.get(token)
+    def phys(self, filt: tuple) -> list:
+        out = self._phys.get(filt)
         if out is None:
             out = [
                 None if c.max_abs_coeff() == 0.0 else c.samples()
-                for c in self.field(token).components
+                for c in self.field(filt).components
             ]
-            self._phys[token] = out
+            self._phys[filt] = out
             self._charge(out)
             self._evict()
         return out
 
-    def grad_phys(self, token: tuple) -> list:
-        out = self._grad.get(token)
+    def grad_phys(self, filt: tuple) -> list:
+        out = self._grad.get(filt)
         if out is None:
             out = []
-            for c in self.field(token).components:
+            for c in self.field(filt).components:
                 if c.max_abs_coeff() == 0.0:
                     out.append([None, None, None])
                 else:
                     out.append([gc.samples() for gc in gradient(c).components])
-            self._grad[token] = out
+            self._grad[filt] = out
             self._charge(out)
             self._evict()
         return out
 
     # -- the elementary integral --------------------------------------------
 
-    def tri(self, xt: tuple, yt: tuple, zt: tuple) -> float:
+    def tri(self, xf: tuple, yf: tuple, zf: tuple) -> float:
         """integral of X . grad Y . Z dx over the torus, memoized factors."""
-        if self.is_zero(xt) or self.is_zero(yt) or self.is_zero(zt):
+        # canonical band order, so a filter has one memo key however it was written
+        xf, yf, zf = (tuple(sorted(f)) for f in (xf, yf, zf))
+        if self.is_zero(xf) or self.is_zero(yf) or self.is_zero(zf):
             return 0.0
-        xs = self.phys(xt)
-        gy = self.grad_phys(yt)
-        zs = self.phys(zt)
-        acc = 0.0
-        for i in range(3):
-            if zs[i] is None:
-                continue
-            for j in range(3):
-                if xs[j] is None or gy[i][j] is None:
-                    continue
-                acc += float(np.sum(xs[j] * gy[i][j] * zs[i]))
+        acc = products._contract(self.phys(xf), self.grad_phys(yf), self.phys(zf))
         return acc * self.grid.cell_volume
 
     # -- resonant per-level integrals ---------------------------------------
 
     def resonant_terms(self) -> dict[int, float]:
-        """c_l = tri(T_l, S_k u, D_l) for every level that can contribute."""
+        """c_l = tri(T_l, S_k u, D_l) per level; D_l, T_l: block l, blocks l-2..l+2 of the tail."""
         out = {}
         for l in range(self.k - 1, self.l_top + 1):
-            out[l] = self.tri(("T", l), ("Su", self.k), ("D", l))
+            out[l] = self.tri(_band(l - 2, l + 3) + self.tail, self.low, _block(l) + self.tail)
         return out
 
 
@@ -281,7 +262,7 @@ def _i12_expanded(ws: _Workspace) -> float:
     total = 0.0
     for l in range(k - 1, k + 3):
         for lp in range(l - 2, k):
-            total += ws.tri(("SS", l - 2), ("B", lp), ("D", l))
+            total += ws.tri(_low(l - 2) + ws.low, _block(lp), _block(l) + ws.tail)
     return total
 
 
@@ -289,7 +270,7 @@ def _i13(ws: _Workspace) -> float:
     k = ws.k
     total = 0.0
     for l in range(k - 3, k + 1):
-        total += ws.tri(("DS", l), ("Su", k), ("T", l))
+        total += ws.tri(_block(l) + ws.low, ws.low, _band(l - 2, l + 3) + ws.tail)
     return total
 
 
@@ -299,9 +280,9 @@ def _vanishing_terms(ws: _Workspace) -> tuple[float, float, float]:
     hi = ws.l_top + 1
     i11 = i21 = i22 = 0.0
     for l in range(lo, hi + 1):
-        i11 += ws.tri(("DS", l), ("Su", k), ("Stail", l - 2))
-        i21 += ws.tri(("D", l), ("Su", k), ("Stail", l - 2))
-        i22 += ws.tri(("Stail", l - 2), ("Su", k), ("D", l))
+        i11 += ws.tri(_block(l) + ws.low, ws.low, _low(l - 2) + ws.tail)
+        i21 += ws.tri(_block(l) + ws.tail, ws.low, _low(l - 2) + ws.tail)
+        i22 += ws.tri(_low(l - 2) + ws.tail, ws.low, _block(l) + ws.tail)
     return i11, i21, i22
 
 
@@ -324,9 +305,9 @@ def ledger_classical(
     ws = _Workspace(u, k, profile)
     terms: dict[str, float] = {}
 
-    terms["I1"] = ws.tri(("Su", k), ("Su", k), ("tail",))
-    terms["I2"] = ws.tri(("tail",), ("Su", k), ("tail",))
-    terms["I3"] = ws.tri(("u",), ("tail",), ("tail",))
+    terms["I1"] = ws.tri(ws.low, ws.low, ws.tail)
+    terms["I2"] = ws.tri(ws.tail, ws.low, ws.tail)
+    terms["I3"] = ws.tri((), ws.tail, ws.tail)
     terms["I11"], terms["I21"], terms["I22"] = _vanishing_terms(ws)
     terms["I12"] = _i12_expanded(ws)
     terms["I13"] = _i13(ws)
@@ -342,7 +323,7 @@ def ledger_classical(
     terms["snc_rhs_2"] = terms["I13"]
     terms["snc_rhs_3"] = sum(c_l[l] for l in sorted(c_l) if l <= half)
 
-    total = ws.tri(("u",), ("u",), ("tail",))
+    total = ws.tri((), (), ws.tail)
     terms["recon_residual"] = abs(
         total - (terms["I12"] + terms["I13"] + terms["I231"] + terms["I232"])
     )
@@ -435,33 +416,33 @@ def ledger_fractional_high(
     j1_low = 0.0
     for l in range(k - 1, k + 3):
         for lp in range(l - 2, k):
-            j1_low += ws.tri(("SSm", l - 2, m1), ("B", lp), ("D", l))
+            j1_low += ws.tri(_low(l - 2) + _low(m1), _block(lp), _block(l) + ws.tail)
     terms["J1_low"] = j1_low
     j1_high = 0.0
     if m1 <= k - 1:
         for l in range(k - 1, k + 3):
             for lp in range(l - 2, k):
-                j1_high += ws.tri(("SsumB", l - 2, m1, k - 1), ("B", lp), ("D", l))
+                j1_high += ws.tri(_low(l - 2) + _band(m1, k), _block(lp), _block(l) + ws.tail)
     terms["J1_high"] = j1_high
 
     terms["J2"] = _i13(ws)
     j2_low = j2_high = 0.0
     for l in range(k - 3, k + 1):
-        j2_low += ws.tri(("DS", l), ("Su", m2), ("T", l))
+        j2_low += ws.tri(_block(l) + ws.low, _low(m2), _band(l - 2, l + 3) + ws.tail)
         if m2 <= k - 1:
-            j2_high += ws.tri(("DS", l), ("sumB", m2, k - 1), ("T", l))
+            j2_high += ws.tri(_block(l) + ws.low, _band(m2, k), _band(l - 2, l + 3) + ws.tail)
     terms["J2_low"], terms["J2_high"] = j2_low, j2_high
 
     c_l = ws.resonant_terms()
     terms["J3"] = sum(c_l[l] for l in sorted(c_l))
     j3_low = j3_high = 0.0
     for l in sorted(c_l):
-        j3_low += ws.tri(("T", l), ("Su", m2), ("D", l))
+        j3_low += ws.tri(_band(l - 2, l + 3) + ws.tail, _low(m2), _block(l) + ws.tail)
         if m2 <= k - 1:
-            j3_high += ws.tri(("T", l), ("sumB", m2, k - 1), ("D", l))
+            j3_high += ws.tri(_band(l - 2, l + 3) + ws.tail, _band(m2, k), _block(l) + ws.tail)
     terms["J3_low"], terms["J3_high"] = j3_low, j3_high
 
-    total = ws.tri(("u",), ("Su", k), ("u",))
+    total = ws.tri((), ws.low, ())
     terms["recon_residual"] = abs(total - (terms["J1"] + terms["J2"] + terms["J3"]))
     return TrilinearLedger(
         k=k, theta=float(theta), s=float(sf), terms=terms, scale=ledger_scale(u)
@@ -662,7 +643,7 @@ def support_audit(
     rows: list[AuditRow] = []
     grad_ok = True
     ball = g.xi_abs < math.ldexp(1.0, k)
-    su = ws.field(("Su", k))
+    su = ws.field(ws.low)
     grad_su = [gradient(c).components for c in su.components]
     for comps in grad_su:
         for gc in comps:
@@ -690,9 +671,9 @@ def support_audit(
         rows.append(AuditRow(term, l, lo, hi, max_out, pairing, disjoint, scale))
 
     for l in range(k - 1, ws.l_top + 1):
-        dl = ws.field(("D", l))
-        ss = ws.field(("SS", l - 2))
-        st = ws.field(("Stail", l - 2))
+        dl = ws.field(_block(l) + ws.tail)
+        ss = ws.field(_low(l - 2) + ws.low)
+        st = ws.field(_low(l - 2) + ws.tail)
         for i in range(3):
             for j in range(3):
                 audit_product("I12-summand", l, dl.components[i], ss.components[j])

@@ -44,8 +44,7 @@ class NormReport:
 
 def _magnitude_samples(u: SpectralField | VectorField) -> np.ndarray:
     if isinstance(u, SpectralField):
-        s = u.samples()
-        return np.abs(s) if not u.real_valued else np.abs(s)
+        return np.abs(u.samples())
     acc = np.zeros((u.grid.n,) * 3)
     for c in u.components:
         s = c.samples()

@@ -167,16 +167,31 @@ def trilinear(u: VectorField, a: VectorField, b: VectorField, pad="auto") -> flo
         return 0.0
     band_sum = u.band_axis() + a.band_axis() + b.band_axis()
     eg = _eval_grid_for(grid, band_sum, 0, pad)
-    acc = 0.0
     us = [samples_on(c, eg) for c in u.components]
+    gys: list = [None] * 3
+    zs: list = [None] * 3
+    for i, (ai, bi) in enumerate(zip(a.components, b.components)):
+        if ai.max_abs_coeff() != 0.0 and bi.max_abs_coeff() != 0.0:
+            gys[i] = [samples_on(g, eg) for g in gradient(ai).components]
+            zs[i] = samples_on(bi, eg)
+    return _contract(us, gys, zs) * eg.cell_volume
+
+
+def _contract(xs: list, gys: list, zs: list) -> float:
+    """Sum of xs[j] * gys[i][j] * zs[i] over all samples, i outer, j inner.
+
+    Each list holds 3 entries; a None entry is a zero factor and is skipped.
+    Times the cell volume this is the trilinear form.
+    """
+    acc = 0.0
     for i in range(3):
-        if a.components[i].max_abs_coeff() == 0.0 or b.components[i].max_abs_coeff() == 0.0:
+        if zs[i] is None:
             continue
-        bi = samples_on(b.components[i], eg)
-        grad_ai = gradient(a.components[i])
         for j in range(3):
-            acc += float(np.sum(us[j] * samples_on(grad_ai.components[j], eg) * bi))
-    return acc * eg.cell_volume
+            if xs[j] is None or gys[i][j] is None:
+                continue
+            acc += float(np.sum(xs[j] * gys[i][j] * zs[i]))
+    return acc
 
 
 def pressure_from_velocity(u: VectorField, pad="auto") -> SpectralField:

@@ -17,6 +17,7 @@ C order (last axis fastest) and FFT-standard frequency order.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -54,36 +55,53 @@ def snapshot_write(u: VectorField, path: str | Path) -> None:
             fh.write(np.ascontiguousarray(c.coeffs, dtype="<c16").tobytes())
 
 
+def _read_header(fh) -> dict:
+    """Parse and validate the header of a snapshot opened for binary reading.
+
+    Checks the magic, version and component count, and that the file holds
+    exactly the payload the header announces; leaves ``fh`` at the payload.
+    """
+    header = fh.read(HEADER_BYTES)
+    if len(header) < HEADER_BYTES:
+        raise SnapshotFormatError("truncated header")
+    magic, version, n, ncomp, box_length, flags = struct.unpack("<4sIIIdQ", header[:32])
+    if magic != MAGIC:
+        raise SnapshotFormatError(f"bad magic {magic!r}")
+    if version != VERSION:
+        raise SnapshotFormatError(f"unknown snapshot version {version}")
+    if ncomp != 3:
+        raise SnapshotFormatError(f"expected 3 components, found {ncomp}")
+    payload = ncomp * n**3 * 16
+    size = os.fstat(fh.fileno()).st_size - HEADER_BYTES
+    if size < payload:
+        raise SnapshotFormatError("truncated payload")
+    if size > payload:
+        raise SnapshotFormatError("trailing bytes after payload")
+    return {
+        "magic": magic.decode(),
+        "version": version,
+        "n": n,
+        "components": ncomp,
+        "box_length": box_length,
+        "real_valued": bool(flags & _FLAG_REAL),
+        "mean_zero": bool(flags & _FLAG_MEAN_ZERO),
+        "div_free": bool(flags & _FLAG_DIV_FREE),
+        "payload_bytes": payload,
+    }
+
+
 def snapshot_read(path: str | Path) -> VectorField:
     with open(path, "rb") as fh:
-        header = fh.read(HEADER_BYTES)
-        if len(header) < HEADER_BYTES:
-            raise SnapshotFormatError("truncated header")
-        magic, version, n, ncomp, box_length, flags = struct.unpack(
-            "<4sIIIdQ", header[:32]
-        )
-        if magic != MAGIC:
-            raise SnapshotFormatError(f"bad magic {magic!r}")
-        if version != VERSION:
-            raise SnapshotFormatError(f"unknown snapshot version {version}")
-        if ncomp != 3:
-            raise SnapshotFormatError(f"expected 3 components, found {ncomp}")
-        grid = TorusGrid(n, box_length)
-        comp_bytes = n**3 * 16
+        head = _read_header(fh)
+        n = head["n"]
+        grid = TorusGrid(n, head["box_length"])
         comps = []
-        for _ in range(ncomp):
-            raw = fh.read(comp_bytes)
-            if len(raw) < comp_bytes:
-                raise SnapshotFormatError("truncated payload")
+        for _ in range(head["components"]):
+            raw = fh.read(n**3 * 16)
             coeffs = np.frombuffer(raw, dtype="<c16").reshape(n, n, n).astype(np.complex128)
             comps.append(
                 SpectralField(
-                    grid,
-                    coeffs,
-                    real_valued=bool(flags & _FLAG_REAL),
-                    mean_zero=bool(flags & _FLAG_MEAN_ZERO),
+                    grid, coeffs, real_valued=head["real_valued"], mean_zero=head["mean_zero"]
                 )
             )
-        if fh.read(1):
-            raise SnapshotFormatError("trailing bytes after payload")
-    return VectorField(tuple(comps), div_free=bool(flags & _FLAG_DIV_FREE))  # type: ignore[arg-type]
+    return VectorField(tuple(comps), div_free=head["div_free"])  # type: ignore[arg-type]

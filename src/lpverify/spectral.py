@@ -450,11 +450,6 @@ def divergence(u: VectorField) -> SpectralField:
     return SpectralField(g, acc, real_valued=real, mean_zero=True)
 
 
-def gradient_tensor(u: VectorField) -> list[list[SpectralField]]:
-    """All partials d_j u_i as a 3x3 nested list indexed [i][j]."""
-    return [[gradient(c).components[j] for j in range(3)] for c in u.components]
-
-
 def leray_project(u: VectorField) -> VectorField:
     """Remove the gradient part: u_hat -> u_hat - xi (xi . u_hat)/|xi|^2."""
     g = u.grid

@@ -172,6 +172,16 @@ class RunReport:
         return json.dumps(payload, indent=2, sort_keys=True, allow_nan=True)
 
 
+@dataclass
+class SuiteResult:
+    """What one suite body contributes to a report."""
+
+    checks: list
+    series: list = field(default_factory=list)
+    ledger_rows: list = field(default_factory=list)
+    tables: list = field(default_factory=list)
+
+
 def estimate_bytes(n: int) -> int:
     # envelope over working sets incl. 2n-padded transients and caches
     return 480 * n**3
@@ -201,6 +211,11 @@ def _info(name, anchor, value, detail="") -> CheckRecord:
     return CheckRecord(name, anchor, float(value), 1.0, math.inf, None, detail)
 
 
+def _sweep(cfg: SuiteConfig, win: DyadicWindow) -> tuple[int, int]:
+    """The configured level sweep, or the window minus one level at each edge."""
+    return cfg.k_range or (win.k_min + 1, win.k_max - 1)
+
+
 def _window_field(grid, seed, alpha=None):
     win = DyadicWindow.for_grid(grid)
     kind = "white-band" if alpha is None else "power-law"
@@ -212,7 +227,7 @@ def _window_field(grid, seed, alpha=None):
 # suite bodies
 
 
-def _suite_core(cfg: SuiteConfig) -> tuple[list[CheckRecord], list]:
+def _suite_core(cfg: SuiteConfig) -> SuiteResult:
     g = TorusGrid(cfg.n, cfg.box)
     rng = np.random.default_rng(cfg.seed)
     checks = []
@@ -281,9 +296,7 @@ def _suite_core(cfg: SuiteConfig) -> tuple[list[CheckRecord], list]:
         for j in range(3):
             t = products.product(ub.components[i], ub.components[j])
             acc += (1j * g.xi_component(i)) * (1j * g.xi_component(j)) * t.coeffs
-    from .spectral import fractional_laplacian as _fl
-
-    resid = float(np.max(np.abs(_fl(Pb, 1.0).coeffs - acc)))
+    resid = float(np.max(np.abs(fractional_laplacian(Pb, 1.0).coeffs - acc)))
     pressure_scale = norms.lp_norm(ub, math.inf) ** 2 * float(g.xi_abs.max()) ** 2
     checks.append(_check("pressure-residual", "pressure-poisson", resid, pressure_scale, cfg.tol("pressure")))
 
@@ -299,10 +312,10 @@ def _suite_core(cfg: SuiteConfig) -> tuple[list[CheckRecord], list]:
         size_ok = path.stat().st_size == 64 + 3 * g.n**3 * 16
     checks.append(CheckRecord("snapshot-round-trip", "snapshot-io", 0.0 if same and size_ok else 1.0,
                               1.0, 0.5, bool(same and size_ok)))
-    return checks, []
+    return SuiteResult(checks)
 
 
-def _suite_dyadic(cfg: SuiteConfig) -> tuple[list[CheckRecord], list]:
+def _suite_dyadic(cfg: SuiteConfig) -> SuiteResult:
     g = TorusGrid(cfg.n, cfg.box)
     win = DyadicWindow.for_grid(g)
     checks = []
@@ -372,13 +385,13 @@ def _suite_dyadic(cfg: SuiteConfig) -> tuple[list[CheckRecord], list]:
         bound = math.ldexp(1.0, -k) ** 0.5 * droot
         worst = max(worst, norms.lp_norm(tl, 3.0) / bound)
     checks.append(_check_bound("tail-l3-bound", "tail-lebesgue-bound", worst, cfg.tol("tail-l3-constant")))
-    return checks, []
+    return SuiteResult(checks)
 
 
 _BONY_PAIRS = 20
 
 
-def _suite_paraproduct(cfg: SuiteConfig) -> tuple[list[CheckRecord], list]:
+def _suite_paraproduct(cfg: SuiteConfig) -> SuiteResult:
     g = TorusGrid(cfg.n, cfg.box)
     win = DyadicWindow.for_grid(g)
     band = win.guarded(2)
@@ -426,7 +439,7 @@ def _suite_paraproduct(cfg: SuiteConfig) -> tuple[list[CheckRecord], list]:
                                          rep_first.high_low, rep_first.resonant)
             ],
         })
-    return checks, [], [], tables
+    return SuiteResult(checks, tables=tables)
 
 
 _CLASSICAL_FIELDS = 10
@@ -452,9 +465,9 @@ def _ledger_rows(cfg: SuiteConfig, led, seed: int) -> list[dict]:
     return rows
 
 
-def _classical_sweep(cfg: SuiteConfig, grid: TorusGrid) -> tuple[list[CheckRecord], list, list]:
+def _classical_sweep(cfg: SuiteConfig, grid: TorusGrid) -> SuiteResult:
     win = DyadicWindow.for_grid(grid)
-    sweep = cfg.k_range or (win.k_min + 1, win.k_max - 1)
+    sweep = _sweep(cfg, win)
     checks = []
     rows: list[dict] = []
     agg = {key: 0.0 for key in ("I11", "I21", "I22", "I3", "recon", "split1", "split2", "theta", "audit")}
@@ -490,7 +503,7 @@ def _classical_sweep(cfg: SuiteConfig, grid: TorusGrid) -> tuple[list[CheckRecor
     checks.append(_check("theta-partition-invariance", "resonant-split", agg["theta"], 1.0, cfg.tol("theta-sum")))
     checks.append(CheckRecord("support-audit", "support-containment", agg["audit"], 1.0, 0.5, agg["audit"] == 0.0,
                               detail=f"fields={_CLASSICAL_FIELDS}, sweep={sweep}"))
-    return checks, [], rows
+    return SuiteResult(checks, ledger_rows=rows)
 
 
 def _decay_sweep(n: int, seed: int):
@@ -503,28 +516,28 @@ def _decay_sweep(n: int, seed: int):
     return u, range(win.k_min + 1, 0)
 
 
-def _suite_classical(cfg: SuiteConfig):
+def _suite_classical(cfg: SuiteConfig) -> SuiteResult:
     grid = TorusGrid(cfg.n, cfg.box)
-    checks, series, rows = _classical_sweep(cfg, grid)
+    got = _classical_sweep(cfg, grid)
     if cfg.n >= 128:
         u, ks = _decay_sweep(cfg.n, cfg.seed)
         ser = ledger.remainder_decay(u, "I232", ks, cfg.theta)
-        series.append(_series_dict(ser))
+        got.series.append(_series_dict(ser))
         floor = ser.predicted_exponent - cfg.tol("decay-slack")
-        checks.append(CheckRecord("resonant-remainder-slope", "resonant-remainder-decay",
-                                  ser.fit.slope, 1.0, floor, bool(ser.fit.slope >= floor),
-                                  detail=f"floor {floor:+.3f}"))
+        got.checks.append(CheckRecord("resonant-remainder-slope", "resonant-remainder-decay",
+                                      ser.fit.slope, 1.0, floor, bool(ser.fit.slope >= floor),
+                                      detail=f"floor {floor:+.3f}"))
     else:
-        checks.append(CheckRecord("resonant-remainder-slope", "resonant-remainder-decay",
-                                  math.nan, 1.0, math.nan, None,
-                                  detail="needs n >= 128 for a 4-point split sweep"))
-    return checks, series, rows
+        got.checks.append(CheckRecord("resonant-remainder-slope", "resonant-remainder-decay",
+                                      math.nan, 1.0, math.nan, None,
+                                      detail="needs n >= 128 for a 4-point split sweep"))
+    return got
 
 
-def _suite_fractional_low(cfg: SuiteConfig) -> tuple[list[CheckRecord], list]:
+def _suite_fractional_low(cfg: SuiteConfig) -> SuiteResult:
     grid = TorusGrid(cfg.n, cfg.box)
     win = DyadicWindow.for_grid(grid)
-    sweep = cfg.k_range or (win.k_min + 1, win.k_max - 1)
+    sweep = _sweep(cfg, win)
     checks, series = [], []
     u = _window_field(grid, cfg.seed)
     for s in cfg.s_values:
@@ -551,13 +564,13 @@ def _suite_fractional_low(cfg: SuiteConfig) -> tuple[list[CheckRecord], list]:
             checks.append(CheckRecord(f"fractional-remainder-slope-s={s}", "fractional-remainder-decay",
                                       ser.fit.slope, 1.0, floor, bool(ser.fit.slope >= floor),
                                       detail=f"floor {floor:+.3f}"))
-    return checks, series
+    return SuiteResult(checks, series)
 
 
-def _suite_fractional_high(cfg: SuiteConfig) -> tuple[list[CheckRecord], list]:
+def _suite_fractional_high(cfg: SuiteConfig) -> SuiteResult:
     grid = TorusGrid(cfg.n, cfg.box)
     win = DyadicWindow.for_grid(grid)
-    sweep = cfg.k_range or (win.k_min + 1, win.k_max - 1)
+    sweep = _sweep(cfg, win)
     checks, series = [], []
     theta_710 = ledger.theta_for("7/10")
     checks.append(CheckRecord("theta-formula-exact", "split-exponent", float(theta_710), 1.0, math.inf,
@@ -581,13 +594,13 @@ def _suite_fractional_high(cfg: SuiteConfig) -> tuple[list[CheckRecord], list]:
             checks.append(CheckRecord(f"removed-{term}-top-s={s}", "removed-part-vanishing",
                                       ser.top_value, ser.top_threshold / cfg.tol("removed-top"),
                                       cfg.tol("removed-top"), bool(ser.top_ok)))
-    return checks, series, rows
+    return SuiteResult(checks, series, rows)
 
 
-def _suite_s_half(cfg: SuiteConfig) -> tuple[list[CheckRecord], list]:
+def _suite_s_half(cfg: SuiteConfig) -> SuiteResult:
     grid = TorusGrid(cfg.n, cfg.box)
     win = DyadicWindow.for_grid(grid)
-    sweep = cfg.k_range or (win.k_min + 1, win.k_max - 1)
+    sweep = _sweep(cfg, win)
     checks, series = [], []
     checks.append(CheckRecord("theta-vanishes-at-half", "split-exponent", float(ledger.theta_for("1/2")),
                               1.0, math.inf, ledger.theta_for("1/2") == 0, detail="fixed level-0 cut"))
@@ -603,10 +616,10 @@ def _suite_s_half(cfg: SuiteConfig) -> tuple[list[CheckRecord], list]:
     series.append(_series_dict(ser))
     checks.append(CheckRecord("removed-J1_low-top-s=1/2", "removed-part-vanishing", ser.top_value,
                               ser.top_threshold / cfg.tol("removed-top"), cfg.tol("removed-top"), bool(ser.top_ok)))
-    return checks, series
+    return SuiteResult(checks, series)
 
 
-def _suite_diagnostics(cfg: SuiteConfig) -> tuple[list[CheckRecord], list]:
+def _suite_diagnostics(cfg: SuiteConfig) -> SuiteResult:
     grid = TorusGrid(cfg.n, cfg.box)
     checks = []
     u = _window_field(grid, cfg.seed, alpha=1.0)
@@ -638,10 +651,10 @@ def _suite_diagnostics(cfg: SuiteConfig) -> tuple[list[CheckRecord], list]:
             norm_rows.append([report.name, report.parameter, report.method, report.value])
     tables = [{"name": "norm-reports", "columns": ["name", "s_or_p", "method", "value"],
                "rows": norm_rows}]
-    return checks, [], [], tables
+    return SuiteResult(checks, tables=tables)
 
 
-def _suite_energy_balance(cfg: SuiteConfig) -> tuple[list[CheckRecord], list]:
+def _suite_energy_balance(cfg: SuiteConfig) -> SuiteResult:
     grid = TorusGrid(cfg.n, cfg.box)
     win = DyadicWindow.for_grid(grid)
     checks = []
@@ -659,7 +672,7 @@ def _suite_energy_balance(cfg: SuiteConfig) -> tuple[list[CheckRecord], list]:
             worst = max(worst, row.residual / (tol_k * row.scale))
         checks.append(CheckRecord(f"energy-balance-s={s}", "tail-paired-balance", worst, 1.0, 1.0,
                                   worst <= 1.0, detail="max over window levels of residual/(tol*scale)"))
-    return checks, []
+    return SuiteResult(checks)
 
 
 _SUITE_BODIES = {
@@ -716,10 +729,7 @@ def run_suite(config: SuiteConfig) -> RunReport:
         raise ConfigError(f"window [{win.k_min}, {win.k_max}] too small for dyadic suites")
 
     names = [s for s in SUITES if s not in ("all",)] if config.suite == "all" else [config.suite]
-    checks: list[CheckRecord] = []
-    series: list[dict] = []
-    ledger_rows: list[dict] = []
-    tables: list[dict] = []
+    out = SuiteResult([])
     timings: dict[str, float] = {}
     for name in names:
         cfg_i = config if name == config.suite else SuiteConfig(
@@ -729,13 +739,12 @@ def run_suite(config: SuiteConfig) -> RunReport:
         t0 = time.perf_counter()
         got = _SUITE_BODIES[name](cfg_i)
         timings[name] = time.perf_counter() - t0
-        got = tuple(got) + ((), (), (), ())
-        checks.extend(got[0])
-        series.extend(got[1])
-        ledger_rows.extend(got[2])
-        tables.extend(got[3])
+        out.checks.extend(got.checks)
+        out.series.extend(got.series)
+        out.ledger_rows.extend(got.ledger_rows)
+        out.tables.extend(got.tables)
 
-    passed = all(c.passed is not False for c in checks)
+    passed = all(c.passed is not False for c in out.checks)
     cfg_dict = {
         "suite": config.suite, "n": config.n, "box": config.box, "seed": config.seed,
         "theta": str(config.theta), "s_values": list(config.s_values),
@@ -750,12 +759,12 @@ def run_suite(config: SuiteConfig) -> RunReport:
         dyadic={"k_min": win.k_min, "k_max": win.k_max,
                 "profile_shape": "exp-step", "profile_sharpness": DEFAULT_PROFILE.sharpness,
                 "profile_fingerprint": DEFAULT_PROFILE.fingerprint()},
-        checks=checks,
-        series=series,
+        checks=out.checks,
+        series=out.series,
         timings=timings,
         passed=passed,
-        ledger_rows=ledger_rows,
-        tables=tables,
+        ledger_rows=out.ledger_rows,
+        tables=out.tables,
     )
     if config.out_dir:
         write_report(report, Path(config.out_dir), svg=config.svg)

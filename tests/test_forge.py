@@ -137,3 +137,10 @@ def test_picard_divergence_detected(grid16):
     f = forge.taylor_green(grid16, amplitude=50.0)
     with pytest.raises(PicardError):
         forge.picard_solve(f, 1.0, max_iter=40)
+
+
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_picard_rejects_no_iterations(grid16, max_iter):
+    f = forge.taylor_green(grid16, amplitude=1e-2)
+    with pytest.raises(PicardError, match="max_iter"):
+        forge.picard_solve(f, 1.0, max_iter=max_iter)

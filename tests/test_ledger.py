@@ -155,8 +155,60 @@ def test_s_half_uses_level_zero_split(field64):
     expect = 0.0
     for l in range(2, 6):
         for lp in range(l - 2, 3):
-            expect += ws.tri(("SSm", l - 2, 0), ("B", lp), ("D", l))
+            expect += ws.tri(ledger._low(l - 2) + ledger._low(0), ledger._block(lp), ledger._block(l) + ws.tail)
     assert abs(led.terms["J1_low"] - expect) <= 1e-13 * max(abs(expect), 1e-300)
+
+
+# -- workspace filters -------------------------------------------------------------
+
+
+def _literal_filters(u, k):
+    """Each filter the ledger uses, built by chaining the public dyadic operators."""
+    D = dyadic
+    tail = D.tail_vector(u, k)
+    su = D.lowpass_vector(u, k)
+
+    def block_sum(f, a, b):
+        out = D.block_vector(f, a)
+        for l in range(a + 1, b + 1):
+            out = out + D.block_vector(f, l)
+        return out
+
+    low, band, block = ledger._low, ledger._band, ledger._block
+    t = band(k, math.inf)
+    for m in range(k - 4, k + 2):
+        yield f"Su({m})", low(m), D.lowpass_vector(u, m)
+        yield f"SS({m})", low(m) + low(k), D.lowpass_vector(su, m)
+        yield f"Stail({m})", low(m) + t, D.lowpass_vector(tail, m)
+        for m1 in range(0, k + 1):
+            yield f"SSm({m},{m1})", low(m) + low(m1), D.lowpass_vector(D.lowpass_vector(u, m1), m)
+            if m1 <= k - 1:
+                yield (
+                    f"SsumB({m},{m1},{k - 1})",
+                    low(m) + band(m1, k),
+                    D.lowpass_vector(block_sum(u, m1, k - 1), m),
+                )
+    yield "tail", t, tail
+    for l in range(k - 3, k + 5):
+        yield f"B({l})", block(l), D.block_vector(u, l)
+        yield f"D({l})", block(l) + t, D.block_vector(tail, l)
+        yield f"T({l})", band(l - 2, l + 3) + t, block_sum(tail, l - 2, l + 2)
+        yield f"DS({l})", block(l) + low(k), D.block_vector(su, l)
+    for a in range(0, k):
+        yield f"sumB({a},{k - 1})", band(a, k), block_sum(u, a, k - 1)
+
+
+@pytest.mark.parametrize("k", list(DyadicWindow.for_grid(TorusGrid(32, TWO_PI)).indices()))
+def test_band_filters_match_literal_composition(grid32, k):
+    win = DyadicWindow.for_grid(grid32)
+    u = forge.generate(grid32, forge.SpectrumSpec("white-band", seed=5, band=(win.k_min, win.k_max)))
+    ws = ledger._Workspace(u, k, dyadic.DEFAULT_PROFILE)
+    top = max(c.max_abs_coeff() for c in u.components)
+    for name, filt, expect in _literal_filters(u, k):
+        got = ws.field(filt)
+        for c_got, c_exp in zip(got.components, expect.components):
+            assert np.array_equal(c_got.coeffs == 0, c_exp.coeffs == 0), name
+            assert np.max(np.abs(c_got.coeffs - c_exp.coeffs)) <= 1e-15 * top, name
 
 
 # -- support audit ------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 from fractions import Fraction
 
 import pytest
@@ -128,6 +129,15 @@ def test_cli_generate_and_inspect(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["magic"] == "LPF1" and payload["n"] == 16
     assert payload["components"] == 3 and payload["div_free"] is True
+
+    # inspect validates the header as snapshot_read does
+    raw = snap.read_bytes()
+    v9 = tmp_path / "v9.lpf"
+    v9.write_bytes(raw[:4] + struct.pack("<I", 9) + raw[8:])
+    assert cli.main(["inspect", "--in", str(v9)]) == cli.EXIT_CONFIG
+    short = tmp_path / "short.lpf"
+    short.write_bytes(raw[:-7])
+    assert cli.main(["inspect", "--in", str(short)]) == cli.EXIT_CONFIG
 
 
 def test_cli_bad_snapshot_exit(tmp_path, capsys):
