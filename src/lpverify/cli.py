@@ -132,7 +132,7 @@ def main(argv=None) -> int:
     except ResourceBudgetError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ConfigError, WindowError, SpectrumSpecError, SnapshotFormatError, ValueError) as exc:
+    except (ConfigError, WindowError, SpectrumSpecError, SnapshotFormatError, ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except LPVerifyError as exc:

@@ -100,6 +100,18 @@ class TrilinearLedger:
     terms: dict[str, float]
     scale: float
     certificates: dict[str, float] = field(default_factory=dict)
+    #: per-level resonant integrals c_l, so any theta split is a view of them
+    resonant: dict[int, float] = field(default_factory=dict)
+
+    def split(self, theta) -> tuple[float, float]:
+        """(I231, I232) of this ledger's resonant sum split at [theta k]."""
+        return _split(self.resonant, split_index(theta, self.k))
+
+
+def _split(c_l: dict[int, float], m: int) -> tuple[float, float]:
+    """(sum over l <= m, sum over l > m) of per-level integrals, ascending in l."""
+    levels = sorted(c_l)
+    return sum(c_l[l] for l in levels if l <= m), sum(c_l[l] for l in levels if l > m)
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +257,11 @@ class _Workspace:
 
     # -- resonant per-level integrals ---------------------------------------
 
-    def resonant_terms(self) -> dict[int, float]:
-        """c_l = tri(T_l, S_k u, D_l) per level; D_l, T_l: block l, blocks l-2..l+2 of the tail."""
+    def resonant_terms(self, y: tuple) -> dict[int, float]:
+        """c_l = tri(T_l, y, D_l) per level; D_l, T_l: block l, blocks l-2..l+2 of the tail."""
         out = {}
         for l in range(self.k - 1, self.l_top + 1):
-            out[l] = self.tri(_band(l - 2, l + 3) + self.tail, self.low, _block(l) + self.tail)
+            out[l] = self.tri(_band(l - 2, l + 3) + self.tail, y, _block(l) + self.tail)
         return out
 
 
@@ -257,20 +269,20 @@ class _Workspace:
 # classical ledger
 
 
-def _i12_expanded(ws: _Workspace) -> float:
+def _i12_expanded(ws: _Workspace, low: tuple) -> float:
     k = ws.k
     total = 0.0
     for l in range(k - 1, k + 3):
         for lp in range(l - 2, k):
-            total += ws.tri(_low(l - 2) + ws.low, _block(lp), _block(l) + ws.tail)
+            total += ws.tri(_low(l - 2) + low, _block(lp), _block(l) + ws.tail)
     return total
 
 
-def _i13(ws: _Workspace) -> float:
+def _i13(ws: _Workspace, y: tuple) -> float:
     k = ws.k
     total = 0.0
     for l in range(k - 3, k + 1):
-        total += ws.tri(_block(l) + ws.low, ws.low, _band(l - 2, l + 3) + ws.tail)
+        total += ws.tri(_block(l) + ws.low, y, _band(l - 2, l + 3) + ws.tail)
     return total
 
 
@@ -309,26 +321,23 @@ def ledger_classical(
     terms["I2"] = ws.tri(ws.tail, ws.low, ws.tail)
     terms["I3"] = ws.tri((), ws.tail, ws.tail)
     terms["I11"], terms["I21"], terms["I22"] = _vanishing_terms(ws)
-    terms["I12"] = _i12_expanded(ws)
-    terms["I13"] = _i13(ws)
+    terms["I12"] = _i12_expanded(ws, ws.low)
+    terms["I13"] = _i13(ws, ws.low)
 
-    c_l = ws.resonant_terms()
-    split = split_index(theta, k)
-    terms["I23"] = sum(c_l[l] for l in sorted(c_l))
-    terms["I231"] = sum(c_l[l] for l in sorted(c_l) if l <= split)
-    terms["I232"] = sum(c_l[l] for l in sorted(c_l) if l > split)
+    c_l = ws.resonant_terms(ws.low)
+    terms["I23"] = sum(c_l.values())
+    terms["I231"], terms["I232"] = _split(c_l, split_index(theta, k))
 
-    half = split_index(Fraction(1, 2), k)
     terms["snc_rhs_1"] = terms["I12"]
     terms["snc_rhs_2"] = terms["I13"]
-    terms["snc_rhs_3"] = sum(c_l[l] for l in sorted(c_l) if l <= half)
+    terms["snc_rhs_3"], _ = _split(c_l, split_index(Fraction(1, 2), k))
 
     total = ws.tri((), (), ws.tail)
     terms["recon_residual"] = abs(
         total - (terms["I12"] + terms["I13"] + terms["I231"] + terms["I232"])
     )
     return TrilinearLedger(
-        k=k, theta=float(theta), s=None, terms=terms, scale=ledger_scale(u)
+        k=k, theta=float(theta), s=None, terms=terms, scale=ledger_scale(u), resonant=c_l
     )
 
 
@@ -369,7 +378,7 @@ def ledger_fractional_low(
     certs["hs_norm"] = norms.sobolev_norm(u, sv)
     return TrilinearLedger(
         k=k, theta=base.theta, s=sv, terms=dict(base.terms), scale=base.scale,
-        certificates=certs,
+        certificates=certs, resonant=base.resonant,
     )
 
 
@@ -410,42 +419,24 @@ def ledger_fractional_high(
     ws = _Workspace(u, k, profile)
     m1 = split_index(theta, k)
     m2 = split_index(Fraction(1, 2), k)
+
+    def parts(level_sum, m: int) -> tuple[float, float]:
+        # removed and retained parts: S_m, then the band m .. k-1, in place of S_k
+        return level_sum(_low(m)), level_sum(_band(m, k)) if m <= k - 1 else 0.0
+
     terms: dict[str, float] = {}
-
-    terms["J1"] = _i12_expanded(ws)
-    j1_low = 0.0
-    for l in range(k - 1, k + 3):
-        for lp in range(l - 2, k):
-            j1_low += ws.tri(_low(l - 2) + _low(m1), _block(lp), _block(l) + ws.tail)
-    terms["J1_low"] = j1_low
-    j1_high = 0.0
-    if m1 <= k - 1:
-        for l in range(k - 1, k + 3):
-            for lp in range(l - 2, k):
-                j1_high += ws.tri(_low(l - 2) + _band(m1, k), _block(lp), _block(l) + ws.tail)
-    terms["J1_high"] = j1_high
-
-    terms["J2"] = _i13(ws)
-    j2_low = j2_high = 0.0
-    for l in range(k - 3, k + 1):
-        j2_low += ws.tri(_block(l) + ws.low, _low(m2), _band(l - 2, l + 3) + ws.tail)
-        if m2 <= k - 1:
-            j2_high += ws.tri(_block(l) + ws.low, _band(m2, k), _band(l - 2, l + 3) + ws.tail)
-    terms["J2_low"], terms["J2_high"] = j2_low, j2_high
-
-    c_l = ws.resonant_terms()
-    terms["J3"] = sum(c_l[l] for l in sorted(c_l))
-    j3_low = j3_high = 0.0
-    for l in sorted(c_l):
-        j3_low += ws.tri(_band(l - 2, l + 3) + ws.tail, _low(m2), _block(l) + ws.tail)
-        if m2 <= k - 1:
-            j3_high += ws.tri(_band(l - 2, l + 3) + ws.tail, _band(m2, k), _block(l) + ws.tail)
-    terms["J3_low"], terms["J3_high"] = j3_low, j3_high
+    terms["J1"] = _i12_expanded(ws, ws.low)
+    terms["J1_low"], terms["J1_high"] = parts(lambda y: _i12_expanded(ws, y), m1)
+    terms["J2"] = _i13(ws, ws.low)
+    terms["J2_low"], terms["J2_high"] = parts(lambda y: _i13(ws, y), m2)
+    c_l = ws.resonant_terms(ws.low)
+    terms["J3"] = sum(c_l.values())
+    terms["J3_low"], terms["J3_high"] = parts(lambda y: sum(ws.resonant_terms(y).values()), m2)
 
     total = ws.tri((), ws.low, ())
     terms["recon_residual"] = abs(total - (terms["J1"] + terms["J2"] + terms["J3"]))
     return TrilinearLedger(
-        k=k, theta=float(theta), s=float(sf), terms=terms, scale=ledger_scale(u)
+        k=k, theta=float(theta), s=float(sf), terms=terms, scale=ledger_scale(u), resonant=c_l
     )
 
 
@@ -537,8 +528,6 @@ def remainder_decay(
     k_list = sorted(k_range)
     if not k_list:
         raise WindowError("empty level range")
-    pts: list[tuple[int, float]] = []
-    scale = ledger_scale(u) if scale is None else scale
 
     if term in ("I232", "fractional-remainder"):
         if term == "I232":
@@ -548,11 +537,10 @@ def remainder_decay(
             s = as_fraction(theta_or_s)
             theta = Fraction(1, 2)
             predicted = 2.5 - 2.0 * float(s)
+        pts = []
         for k in k_list:
             ws = _Workspace(u, k, profile)
-            c_l = ws.resonant_terms()
-            split = split_index(theta, k)
-            pts.append((k, sum(v for l, v in sorted(c_l.items()) if l > split)))
+            pts.append((k, _split(ws.resonant_terms(ws.low), split_index(theta, k))[1]))
         fit = fit_decay(pts)
         return DecaySeries(
             term=term,
@@ -566,32 +554,35 @@ def remainder_decay(
         )
 
     if term in ("J1_low", "J2_low", "J3_low"):
-        s = as_fraction(theta_or_s)
-        for k in k_list:
-            led = ledger_fractional_high(u, k, s, profile)
-            pts.append((k, led.terms[term]))
-        top_value = abs(pts[-1][1])
-        threshold = 1e-6 * scale
-        fit = None
-        try:
-            fit = fit_decay(pts)
-        except FieldError:
-            pass
-        return DecaySeries(
-            term=term,
-            parameter=float(s),
-            points=tuple(pts),
-            fit=fit,
-            fit_range=(k_list[0], k_list[-1]),
-            predicted_exponent=None,
-            slack=_DECAY_SLACK,
-            slope_ok=None,
-            top_value=top_value,
-            top_threshold=threshold,
-            top_ok=top_value <= threshold,
-        )
+        leds = [ledger_fractional_high(u, k, theta_or_s, profile) for k in k_list]
+        return _removed_series(leds, term, ledger_scale(u) if scale is None else scale)
 
     raise FieldError(f"unknown decay term {term!r}")
+
+
+def _removed_series(leds, term: str, scale: float) -> DecaySeries:
+    """Series of a removed J-part from fractional-high ledgers in ascending k; top <= 1e-6 * scale."""
+    pts = tuple((led.k, led.terms[term]) for led in leds)
+    top_value = abs(pts[-1][1])
+    threshold = 1e-6 * scale
+    fit = None
+    try:
+        fit = fit_decay(pts)
+    except FieldError:
+        pass
+    return DecaySeries(
+        term=term,
+        parameter=leds[0].s,
+        points=pts,
+        fit=fit,
+        fit_range=(pts[0][0], pts[-1][0]),
+        predicted_exponent=None,
+        slack=_DECAY_SLACK,
+        slope_ok=None,
+        top_value=top_value,
+        top_threshold=threshold,
+        top_ok=top_value <= threshold,
+    )
 
 
 # ---------------------------------------------------------------------------

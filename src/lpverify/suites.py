@@ -485,12 +485,9 @@ def _classical_sweep(cfg: SuiteConfig, grid: TorusGrid) -> SuiteResult:
             agg["recon"] = max(agg["recon"], T["recon_residual"] / S)
             agg["split1"] = max(agg["split1"], abs(T["I1"] - (T["I11"] + T["I12"] + T["I13"])) / S)
             agg["split2"] = max(agg["split2"], abs(T["I2"] - (T["I21"] + T["I22"] + T["I23"])) / S)
-            sums = [
-                ledger.ledger_classical(u, k, th).terms
-                for th in (Fraction(1, 4), Fraction(3, 4))
-            ]
             base = T["I231"] + T["I232"]
-            spread = max(abs(t["I231"] + t["I232"] - base) for t in sums)
+            splits = [led.split(th) for th in (Fraction(1, 4), Fraction(3, 4))]
+            spread = max(abs(lo + hi - base) for lo, hi in splits)
             agg["theta"] = max(agg["theta"], spread / S)
             agg["audit"] = max(agg["audit"], float(ledger.support_audit(u, k).violations))
     checks.append(_check("vanishing-I11", "paraproduct-disjointness", agg["I11"], 1.0, cfg.tol("vanishing")))
@@ -540,18 +537,21 @@ def _suite_fractional_low(cfg: SuiteConfig) -> SuiteResult:
     sweep = _sweep(cfg, win)
     checks, series = [], []
     u = _window_field(grid, cfg.seed)
+    # the coherence check compares these with separately evaluated fractional ledgers
+    bases = {k: ledger.ledger_classical(u, k, Fraction(1, 2)) for k in range(sweep[0], sweep[1] + 1)}
+    mid = (sweep[0] + sweep[1]) // 2
     for s in cfg.s_values:
         worst = 0.0
         certs_ok = True
-        for k in range(sweep[0], sweep[1] + 1):
-            base = ledger.ledger_classical(u, k, Fraction(1, 2))
-            led = ledger.ledger_fractional_low(u, k, s)
+        leds = {}
+        for k, base in bases.items():
+            leds[k] = led = ledger.ledger_fractional_low(u, k, s)
             worst = max(worst, max(abs(led.terms[t] - base.terms[t]) for t in base.terms) / base.scale)
             certs_ok &= all(math.isfinite(v) for v in led.certificates.values())
         checks.append(_check(f"fractional-coherence-s={s}", "s-independent-decomposition", worst, 1.0, cfg.tol("coherence")))
         checks.append(CheckRecord(f"certificates-finite-s={s}", "pairing-well-defined", 0.0 if certs_ok else 1.0,
                                   1.0, 0.5, certs_ok))
-        led_mid = ledger.ledger_fractional_low(u, (sweep[0] + sweep[1]) // 2, s)
+        led_mid = leds.get(mid) or ledger.ledger_fractional_low(u, mid, s)
         rows = ledger.snc_chains(u, led_mid, s=s)
         for name, (lhs, rhs, ratio) in rows.items():
             checks.append(_info(f"{name}-ratio-s={s}", "localized-sum-majorant", ratio))
@@ -571,6 +571,7 @@ def _suite_fractional_high(cfg: SuiteConfig) -> SuiteResult:
     grid = TorusGrid(cfg.n, cfg.box)
     win = DyadicWindow.for_grid(grid)
     sweep = _sweep(cfg, win)
+    top = range(win.k_max - 2, win.k_max + 2)
     checks, series = [], []
     theta_710 = ledger.theta_for("7/10")
     checks.append(CheckRecord("theta-formula-exact", "split-exponent", float(theta_710), 1.0, math.inf,
@@ -578,9 +579,11 @@ def _suite_fractional_high(cfg: SuiteConfig) -> SuiteResult:
     u = _window_field(grid, cfg.seed)
     rows: list[dict] = []
     for s in cfg.s_values:
+        # one ledger per level of the sweep and of the window top; the J-series read from them
+        leds = {k: ledger.ledger_fractional_high(u, k, s) for k in sorted({*range(sweep[0], sweep[1] + 1), *top})}
         worst_recon, worst_split = 0.0, 0.0
         for k in range(sweep[0], sweep[1] + 1):
-            led = ledger.ledger_fractional_high(u, k, s)
+            led = leds[k]
             rows.extend(_ledger_rows(cfg, led, cfg.seed))
             T = led.terms
             worst_recon = max(worst_recon, T["recon_residual"] / led.scale)
@@ -589,7 +592,7 @@ def _suite_fractional_high(cfg: SuiteConfig) -> SuiteResult:
         checks.append(_check(f"j-reconstruction-s={s}", "lowpass-paired-identity", worst_recon, 1.0, cfg.tol("j-recon")))
         checks.append(_check(f"j-splits-s={s}", "removed-lowfrequency-split", worst_split, 1.0, cfg.tol("split-sum")))
         for term in ("J1_low", "J2_low", "J3_low"):
-            ser = ledger.remainder_decay(u, term, range(win.k_max - 2, win.k_max + 2), s)
+            ser = ledger._removed_series([leds[k] for k in top], term, leds[top[0]].scale)
             series.append(_series_dict(ser))
             checks.append(CheckRecord(f"removed-{term}-top-s={s}", "removed-part-vanishing",
                                       ser.top_value, ser.top_threshold / cfg.tol("removed-top"),
@@ -601,18 +604,19 @@ def _suite_s_half(cfg: SuiteConfig) -> SuiteResult:
     grid = TorusGrid(cfg.n, cfg.box)
     win = DyadicWindow.for_grid(grid)
     sweep = _sweep(cfg, win)
+    top = range(win.k_max - 2, win.k_max + 2)
     checks, series = [], []
     checks.append(CheckRecord("theta-vanishes-at-half", "split-exponent", float(ledger.theta_for("1/2")),
                               1.0, math.inf, ledger.theta_for("1/2") == 0, detail="fixed level-0 cut"))
     u = _window_field(grid, cfg.seed)
+    leds = {k: ledger.ledger_fractional_high(u, k, "1/2") for k in sorted({*range(sweep[0], sweep[1] + 1), *top})}
     worst = 0.0
     for k in range(sweep[0], sweep[1] + 1):
-        led = ledger.ledger_fractional_high(u, k, "1/2")
-        worst = max(worst, led.terms["recon_residual"] / led.scale)
+        worst = max(worst, leds[k].terms["recon_residual"] / leds[k].scale)
     checks.append(_check("j-reconstruction-s=1/2", "lowpass-paired-identity", worst, 1.0, cfg.tol("j-recon")))
     rep = ledger.diagnostics(u, "1/2")
     checks.append(_info("u0-sup-norm", "fixed-cut-tail-size", rep.u0_linf))
-    ser = ledger.remainder_decay(u, "J1_low", range(win.k_max - 2, win.k_max + 2), "1/2")
+    ser = ledger._removed_series([leds[k] for k in top], "J1_low", leds[top[0]].scale)
     series.append(_series_dict(ser))
     checks.append(CheckRecord("removed-J1_low-top-s=1/2", "removed-part-vanishing", ser.top_value,
                               ser.top_threshold / cfg.tol("removed-top"), cfg.tol("removed-top"), bool(ser.top_ok)))

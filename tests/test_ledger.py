@@ -90,10 +90,13 @@ def test_ledger_matches_explicit_trilinear(field64):
 
 
 def test_theta_partition_invariance(field64):
+    base = ledger.ledger_classical(field64, 2, Fraction(1, 2))
     sums = []
     for theta in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
         led = ledger.ledger_classical(field64, 2, theta)
         sums.append(led.terms["I231"] + led.terms["I232"])
+        # another split of the same resonant integrals is a view, not a recomputation
+        assert base.split(theta) == (led.terms["I231"], led.terms["I232"])
     assert max(sums) - min(sums) <= 1e-12 * ledger.ledger_scale(field64)
 
 
@@ -279,12 +282,13 @@ def test_removed_terms_vanish_at_window_top(grid64):
     u = forge.generate(
         grid64, forge.SpectrumSpec("power-law", seed=2, band=(win.k_min, win.k_max), alpha=0.85)
     )
+    ks = range(win.k_max - 2, win.k_max + 2)
+    leds = [ledger.ledger_fractional_high(u, k, "0.6") for k in ks]
     for term in ("J1_low", "J2_low", "J3_low"):
-        ser = ledger.remainder_decay(
-            u, term, range(win.k_max - 2, win.k_max + 2), "0.6"
-        )
+        ser = ledger.remainder_decay(u, term, ks, "0.6")
         assert ser.top_ok
         assert abs(ser.points[-1][1]) <= ser.top_threshold
+        assert list(ser.points) == [(led.k, led.terms[term]) for led in leds]
 
 
 # -- diagnostics -----------------------------------------------------------------------

@@ -85,6 +85,17 @@ def test_report_determinism(tmp_path):
     assert [c.row() for c in a.checks] == [c.row() for c in b.checks]
 
 
+def test_thread_count_does_not_change_report():
+    # two threads first, so the process is left at the default of one
+    two, one = (
+        suites.run_suite(suites.SuiteConfig(suite="classical-identity", n=32, k_range=(1, 1), threads=t))
+        for t in (2, 1)
+    )
+    assert [c.row() for c in one.checks] == [c.row() for c in two.checks]
+    assert one.ledger_rows == two.ledger_rows
+    assert one.series == two.series
+
+
 def test_decay_series_artifacts(tmp_path):
     cfg = suites.SuiteConfig(suite="fractional-high", n=32, seed=2, out_dir=str(tmp_path), svg=True)
     rep = suites.run_suite(cfg)
@@ -145,6 +156,15 @@ def test_cli_bad_snapshot_exit(tmp_path, capsys):
     bad.write_bytes(b"garbage-header-that-is-long-enough" + b"\x00" * 64)
     rc = cli.main(["inspect", "--in", str(bad)])
     assert rc == cli.EXIT_CONFIG
+
+
+def test_cli_missing_file_exit(tmp_path, capsys):
+    missing = tmp_path / "absent"
+    assert cli.main(["inspect", "--in", str(missing)]) == cli.EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+    rc = cli.main(["generate", "--spec", str(missing), "--n", "16", "--out", str(tmp_path / "f.lpf")])
+    assert rc == cli.EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
 
 
 def test_cli_resource_exit(monkeypatch, capsys):
