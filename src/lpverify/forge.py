@@ -4,7 +4,9 @@ Random fields are painted directly in spectral space.  Every mode's phase
 comes from a counter-based hash of (seed, canonical mode triple), so a
 given (seed, spec, grid) is bit-reproducible, independent of iteration
 order, and modes shared by two grids receive identical values, which is
-what refinement studies rely on.
+what refinement studies rely on.  Because a mode's value depends on that
+mode alone, only the band's support is hashed and painted; the values are
+identical to a full-cube evaluation.
 
 Band-limited spectra are supported on the closed annulus
 [2^k_lo, 2^k_hi], on which the dyadic blocks k_lo..k_hi form an exact
@@ -208,20 +210,7 @@ def scalar_band(
     No solenoidal projection and no per-band renormalisation; useful for
     bilinear checks that need many independent scalar samples.
     """
-    r = grid.xi_abs
-    lo, hi = math.ldexp(1.0, band[0]), math.ldexp(1.0, band[1])
-    support = (r >= lo) & (r <= hi)
-    with np.errstate(divide="ignore"):
-        w = np.where(support, np.where(support, r, 1.0) ** (-(alpha + 1.5)), 0.0)
-    mx, my, mz = grid.mode_cubes
-    sign = _canonical_sign(mx, my, mz)
-    canon = sign > 0
-    kx = np.where(canon, mx, -mx)
-    ky = np.where(canon, my, -my)
-    kz = np.where(canon, mz, -mz)
-    theta = 2.0 * math.pi * _mode_uniform(seed, kx, ky, kz, salt=salt)
-    coeffs = amplitude * w * np.exp(1j * sign * theta)
-    coeffs[0, 0, 0] = 0.0
+    (coeffs,) = _band_cubes(grid, band, -(alpha + 1.5), seed, (salt,), amplitude)
     return SpectralField(grid, coeffs)
 
 
@@ -233,15 +222,10 @@ def _random_band(grid: TorusGrid, spec: SpectrumSpec, profile) -> VectorField:
             f"band [{k_lo}, {k_hi}] exceeds the grid window "
             f"[{window.k_min}, {window.k_max}]"
         )
-    r = grid.xi_abs
-    lo, hi = math.ldexp(1.0, k_lo), math.ldexp(1.0, k_hi)
-    support = (r >= lo) & (r <= hi)
-    if spec.kind == "power-law":
-        with np.errstate(divide="ignore"):
-            w = np.where(support, r, 1.0) ** (-(spec.alpha + 1.5))
-    else:
-        w = np.ones_like(r)
-    u = _random_phases(grid, np.where(support, w, 0.0), spec.seed)
+    slope = -(spec.alpha + 1.5) if spec.kind == "power-law" else 0.0
+    cubes = _band_cubes(grid, spec.band, slope, spec.seed, (1, 2, 3))  # type: ignore[arg-type]
+    u = leray_project(VectorField(tuple(SpectralField(grid, c) for c in cubes)))
+    del cubes  # freed before the band-target sweeps, which set the peak memory
     targets = {
         k: (
             spec.amplitude * math.ldexp(1.0, k) ** (-spec.alpha)
@@ -254,26 +238,40 @@ def _random_band(grid: TorusGrid, spec: SpectrumSpec, profile) -> VectorField:
     return u
 
 
-def _random_phases(grid: TorusGrid, w: np.ndarray, seed: int) -> VectorField:
-    """Leray projection of the field with amplitudes ``w`` and seeded Hermitian phases.
+def _band_cubes(
+    grid: TorusGrid,
+    band: tuple[int, int],
+    slope: float,
+    seed: int,
+    salts: tuple[int, ...],
+    amplitude: float = 1.0,
+) -> list[np.ndarray]:
+    """One coefficient cube per salt, ``amplitude |xi|^slope exp(i sign theta)``
+    on the closed annulus [2^band[0], 2^band[1]] and zero elsewhere.
 
-    A function of its own so that the index, phase and unprojected cubes are
-    freed before the band-target sweeps, which set the generator's peak memory.
+    Only the modes of the annulus are signed, hashed and phased; each value
+    is a function of its own mode, so it equals a full-cube evaluation.
     """
-    mx, my, mz = grid.mode_cubes
+    r = grid.xi_abs
+    lo, hi = math.ldexp(1.0, band[0]), math.ldexp(1.0, band[1])
+    idx = np.nonzero((r >= lo) & (r <= hi))
+    w = amplitude * r[idx] ** slope
+    m = grid.modes
+    mx, my, mz = m[idx[0]], m[idx[1]], m[idx[2]]
     sign = _canonical_sign(mx, my, mz)
     # canonical triple: the lexicographically positive representative
     canon = sign > 0
     kx = np.where(canon, mx, -mx)
     ky = np.where(canon, my, -my)
     kz = np.where(canon, mz, -mz)
-    comps = []
-    for axis in range(3):
-        theta = 2.0 * math.pi * _mode_uniform(seed, kx, ky, kz, salt=axis + 1)
-        coeffs = w * np.exp(1j * sign * theta)
+    cubes = []
+    for salt in salts:
+        theta = 2.0 * math.pi * _mode_uniform(seed, kx, ky, kz, salt=salt)
+        coeffs = np.zeros((grid.n,) * 3, dtype=np.complex128)
+        coeffs[idx] = w * np.exp(1j * sign * theta)
         coeffs[0, 0, 0] = 0.0
-        comps.append(SpectralField(grid, coeffs))
-    return leray_project(VectorField(tuple(comps)))  # type: ignore[arg-type]
+        cubes.append(coeffs)
+    return cubes
 
 
 def _enforce_band_targets(

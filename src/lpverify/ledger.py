@@ -655,10 +655,11 @@ def support_audit(
         pairing = 0.0
         disjoint = lo >= math.ldexp(1.0, k)
         if disjoint and grad_scale > 0:
+            norm = grad_scale * p.l2() + 1e-300
             for comps in grad_su:
                 for gc in comps:
                     val = abs(float(np.vdot(gc.coeffs, p.coeffs).real) * g.spectral_cell)
-                    pairing = max(pairing, val / (grad_scale * p.l2() + 1e-300))
+                    pairing = max(pairing, val / norm)
         rows.append(AuditRow(term, l, lo, hi, max_out, pairing, disjoint, scale))
 
     for l in range(k - 1, ws.l_top + 1):

@@ -93,11 +93,6 @@ class TorusGrid:
         return np.fft.fftfreq(self.n, d=1.0 / self.n).astype(np.int64)
 
     @cached_property
-    def mode_cubes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        m = self.modes
-        return tuple(np.meshgrid(m, m, m, indexing="ij"))  # type: ignore[return-value]
-
-    @cached_property
     def xi_sq(self) -> np.ndarray:
         """|xi|^2 on the full lattice (float64 cube)."""
         m = self.modes.astype(np.float64) * self.xi_min

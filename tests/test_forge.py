@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from lpverify import TorusGrid
-from lpverify.dyadic import DyadicWindow
+from lpverify.dyadic import DEFAULT_PROFILE, DyadicWindow
 from lpverify.errors import PicardError, SpectrumSpecError
 from lpverify.ledger import fit_decay
-from lpverify.spectral import TWO_PI, VectorField, fractional_laplacian
+from lpverify.spectral import TWO_PI, SpectralField, VectorField, fractional_laplacian
 from lpverify import forge, norms, products
 
 
@@ -91,6 +91,112 @@ def test_generation_grid_consistent(grid32, grid64):
 def test_band_outside_window_rejected(grid16):
     with pytest.raises(SpectrumSpecError):
         forge.generate(grid16, forge.SpectrumSpec("white-band", seed=0, band=(0, 9)))
+
+
+# -- support-only painting against the full-cube arithmetic --------------------
+#
+# The painters below are a literal full-cube copy of the generator: every one
+# of the n^3 modes is signed, hashed and phased, and the band enters only as a
+# zero weight off the support.  The forge paints the support alone; a mode's
+# value must not depend on which other modes are evaluated.
+
+
+def _cube_splitmix(z):
+    z = (z + np.uint64(0x9E3779B97F4A7C15)).astype(np.uint64)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _cube_uniform(seed, mx, my, mz, salt):
+    h = _cube_splitmix(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + np.zeros_like(mx, dtype=np.uint64))
+    for coord in (mx, my, mz, np.full_like(mx, salt)):
+        h = _cube_splitmix(h ^ coord.astype(np.int64).view(np.uint64))
+    return (h >> np.uint64(11)).astype(np.float64) / float(1 << 53)
+
+
+def _cube_phased(grid, w, seed, salt):
+    m = grid.modes
+    mx, my, mz = np.meshgrid(m, m, m, indexing="ij")
+    pos = (mx > 0) | ((mx == 0) & (my > 0)) | ((mx == 0) & (my == 0) & (mz > 0))
+    sign = np.where(pos, 1.0, -1.0)
+    canon = sign > 0
+    kx = np.where(canon, mx, -mx)
+    ky = np.where(canon, my, -my)
+    kz = np.where(canon, mz, -mz)
+    theta = 2.0 * math.pi * _cube_uniform(seed, kx, ky, kz, salt)
+    coeffs = w * np.exp(1j * sign * theta)
+    coeffs[0, 0, 0] = 0.0
+    return coeffs
+
+
+def _cube_support(grid, band):
+    r = grid.xi_abs
+    lo, hi = math.ldexp(1.0, band[0]), math.ldexp(1.0, band[1])
+    return (r >= lo) & (r <= hi)
+
+
+def _cube_scalar_band(grid, seed, band, alpha, amplitude, salt):
+    r = grid.xi_abs
+    support = _cube_support(grid, band)
+    with np.errstate(divide="ignore"):
+        w = np.where(support, np.where(support, r, 1.0) ** (-(alpha + 1.5)), 0.0)
+    return _cube_phased(grid, amplitude * w, seed, salt)
+
+
+def _cube_generate(grid, spec):
+    r = grid.xi_abs
+    support = _cube_support(grid, spec.band)
+    if spec.kind == "power-law":
+        with np.errstate(divide="ignore"):
+            w = np.where(support, r, 1.0) ** (-(spec.alpha + 1.5))
+    else:
+        w = np.ones_like(r)
+    w = np.where(support, w, 0.0)
+    comps = tuple(
+        SpectralField(grid, _cube_phased(grid, w, spec.seed, axis + 1))
+        for axis in range(3)
+    )
+    u = forge.leray_project(VectorField(comps))
+    targets = {
+        k: spec.amplitude * math.ldexp(1.0, k) ** (-spec.alpha)
+        if spec.kind == "power-law"
+        else spec.amplitude
+        for k in range(spec.band[0], spec.band[1] + 1)
+    }
+    return forge._enforce_band_targets(u, targets, DEFAULT_PROFILE, sweeps=3)
+
+
+def _oracle_bands(grid):
+    win = DyadicWindow.for_grid(grid)
+    return ((1, 1), (win.k_min, win.k_max))
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_scalar_band_matches_full_cube_painter(request, n):
+    grid = request.getfixturevalue(f"grid{n}")
+    for band in _oracle_bands(grid):
+        for alpha in (0.0, 1.0):
+            for salt in (1, 2):
+                got = forge.scalar_band(grid, 11, band, alpha, 0.7, salt).coeffs
+                want = _cube_scalar_band(grid, 11, band, alpha, 0.7, salt)
+                assert np.array_equal(got, want), (band, alpha, salt)
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_generate_matches_full_cube_painter(request, n):
+    grid = request.getfixturevalue(f"grid{n}")
+    for kind in ("white-band", "power-law"):
+        for band in _oracle_bands(grid):
+            for seed in (0, 5):
+                spec = forge.SpectrumSpec(kind, seed=seed, band=band, alpha=1.2)
+                got = forge.generate(grid, spec)
+                want = _cube_generate(grid, spec)
+                for cg, cw in zip(got.components, want.components):
+                    assert np.array_equal(cg.coeffs, cw.coeffs), (kind, band, seed)
 
 
 # -- Picard --------------------------------------------------------------------
