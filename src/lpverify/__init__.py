@@ -20,6 +20,7 @@ from .dyadic import (
     DEFAULT_PROFILE,
     DyadicProfile,
     DyadicWindow,
+    band,
     bernstein_check,
     block,
     lowpass,

@@ -13,6 +13,24 @@ Telescoping is structural: sum_{k=a..b} phi(2^-k r) collapses to
 psi(2^-(b+1) r) - psi(2^-a r), so partitions of unity and the identity
 S_k = sum_{l<k} Delta_l hold to rounding on every admissible lattice
 frequency.
+
+Every filter is written in one vocabulary.  A band (a, b) is the radial
+symbol psi_b - psi_a, with psi_j = psi(2^-j |xi|), psi_-inf = 0 and
+psi_+inf = 1; it telescopes to the blocks a .. b-1.  The low-pass S_m is
+(-inf, m), the block Delta_l is (l, l+1), the tail above k is (k, +inf)
+and the five-block neighbourhood of l is (l-2, l+3).  A filter is a
+tuple of bands and acts by the product of their symbols (``band``).  psi
+is exactly 0 or 1 on its plateaus, so a product of bands keeps the zero
+set of the chained filters it stands for.
+
+``_multiplier`` is the one place a symbol is evaluated.  It caches, per
+grid and under a byte cap, the low-passes (-inf, j) and the one-level
+blocks (k, k+1); the latter come from ``phi``, which equals
+psi_{k+1} - psi_k bit for bit.  Every other band is composed from cached
+low-passes on each call and is not kept.  Measured at n=64 on 2 vCPUs:
+caching every band added about 10 MiB to the peak RSS of the dyadic and
+paraproduct suites, and caching the low-passes alone (composing every
+block) made the paraproduct suite about 7% slower.
 """
 
 from __future__ import annotations
@@ -121,18 +139,23 @@ def _floor_log2(x: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# cached multipliers
+# band symbols and filters
 
 
-def _multiplier(grid: TorusGrid, kind: str, k: int, profile: DyadicProfile) -> np.ndarray:
-    key = (profile.fingerprint(), kind, k)
+def _multiplier(grid: TorusGrid, a: float, b: float, profile: DyadicProfile) -> np.ndarray:
+    """The band symbol psi_b - psi_a on the grid's lattice (a < b)."""
+    if a != -math.inf and b != a + 1:
+        hi = 1.0 if b == math.inf else _multiplier(grid, -math.inf, b, profile)
+        return hi - _multiplier(grid, -math.inf, a, profile)
+    key = (profile.fingerprint(), a, b)
     cache = grid._mult_cache
     arr = cache.get(key)
     if arr is not None:
         return arr
-    scale = math.ldexp(1.0, -k)
-    r = grid.xi_abs * scale
-    arr = profile.phi(r) if kind == "phi" else profile.psi(r)
+    if a == -math.inf:
+        arr = profile.psi(grid.xi_abs * math.ldexp(1.0, -b))
+    else:
+        arr = profile.phi(grid.xi_abs * math.ldexp(1.0, -a))
     nbytes = arr.nbytes
     while cache and grid._mult_cache_bytes + nbytes > _CACHE_BYTES_CAP:
         oldest = next(iter(cache))
@@ -142,39 +165,55 @@ def _multiplier(grid: TorusGrid, kind: str, k: int, profile: DyadicProfile) -> n
     return arr
 
 
-def block(u: SpectralField, k: int, profile: DyadicProfile = DEFAULT_PROFILE) -> SpectralField:
+def band(u, bands, profile: DyadicProfile = DEFAULT_PROFILE):
+    """u (scalar or vector field) times the product of the symbols of ``bands``.
+
+    The product symbol is built once per call and shared by the components.
+    """
+    sym = None
+    for a, b in bands:
+        m = _multiplier(u.grid, a, b, profile)
+        sym = m if sym is None else sym * m
+    if isinstance(u, SpectralField):
+        return u.apply_multiplier(sym)
+    return u.map(lambda c: c.apply_multiplier(sym))
+
+
+def block(u, k: int, profile: DyadicProfile = DEFAULT_PROFILE):
     """Dyadic band filter at level k (annulus 2^(k-1) <= |xi| <= 2^(k+1))."""
-    return u.apply_multiplier(_multiplier(u.grid, "phi", k, profile))
+    return band(u, ((k, k + 1),), profile)
 
 
-def lowpass(u: SpectralField, k: int, profile: DyadicProfile = DEFAULT_PROFILE) -> SpectralField:
+def lowpass(u, k: int, profile: DyadicProfile = DEFAULT_PROFILE):
     """Smooth low-pass keeping |xi| < 2^k."""
-    return u.apply_multiplier(_multiplier(u.grid, "psi", k, profile))
+    return band(u, ((-math.inf, k),), profile)
 
 
-def tail(u: SpectralField, k: int, profile: DyadicProfile = DEFAULT_PROFILE) -> SpectralField:
-    """High-frequency part u - lowpass(u, k); complementary by construction."""
-    return u.with_coeffs(u.coeffs - lowpass(u, k, profile).coeffs)
+def tail(u, k: int, profile: DyadicProfile = DEFAULT_PROFILE):
+    """High-frequency part, the symbol 1 - psi_k; complementary to lowpass(u, k)."""
+    return band(u, ((k, math.inf),), profile)
 
 
 def tilde_block(u: SpectralField, l: int, profile: DyadicProfile = DEFAULT_PROFILE) -> SpectralField:
     """Five-block neighbourhood sum over levels l-2 .. l+2."""
-    acc = block(u, l - 2, profile).coeffs.copy()
+    acc = block(u, l - 2, profile).coeffs
     for lp in range(l - 1, l + 3):
-        acc += _multiplier(u.grid, "phi", lp, profile) * u.coeffs
+        acc += _multiplier(u.grid, lp, lp + 1, profile) * u.coeffs
     return u.with_coeffs(acc)
 
 
-def block_vector(u, k: int, profile: DyadicProfile = DEFAULT_PROFILE):
-    return u.map(lambda c: block(c, k, profile))
+def annulus_audit(p: SpectralField, l: int) -> tuple[float, float, float, float]:
+    """(lo, hi, max inside, max outside) of |p_hat| on {lo <= |xi| < hi}.
 
-
-def lowpass_vector(u, k: int, profile: DyadicProfile = DEFAULT_PROFILE):
-    return u.map(lambda c: lowpass(c, k, profile))
-
-
-def tail_vector(u, k: int, profile: DyadicProfile = DEFAULT_PROFILE):
-    return u.map(lambda c: tail(c, k, profile))
+    The annulus lo = 2^(l-2), hi = (9/8) 2^(l+1) holds the spectrum of a
+    product summand Delta_l f * S_m g with m <= l-2.
+    """
+    lo = math.ldexp(1.0, l - 2)
+    hi = 1.125 * math.ldexp(1.0, l + 1)
+    inside = (p.grid.xi_abs >= lo) & (p.grid.xi_abs < hi)
+    mag = np.abs(p.coeffs)
+    max_in = float(np.max(mag, where=inside, initial=0.0))
+    return lo, hi, max_in, float(np.max(mag, where=~inside, initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -293,7 +293,7 @@ def _enforce_band_targets(
         num = np.zeros((g.n,) * 3)
         den = np.zeros((g.n,) * 3)
         for k, rk in ratios.items():
-            w2 = dyadic._multiplier(g, "phi", k, profile) ** 2
+            w2 = dyadic._multiplier(g, k, k + 1, profile) ** 2
             num += w2 * rk
             den += w2
         corr = np.where(den > 0, num / np.maximum(den, 1e-300), 1.0)

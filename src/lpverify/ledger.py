@@ -34,7 +34,7 @@ import numpy as np
 from . import dyadic, norms, products
 from .dyadic import DEFAULT_PROFILE, DyadicProfile, DyadicWindow
 from .errors import FieldError, WindowError
-from .spectral import SpectralField, VectorField, gradient
+from .spectral import SpectralField, VectorField, _xi_power, gradient
 
 __all__ = [
     "TrilinearLedger",
@@ -117,11 +117,7 @@ def _split(c_l: dict[int, float], m: int) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # workspace: memoized filtered fields and their physical samples
 #
-# A filter is a tuple of bands; band (a, b) is the radial symbol psi_b - psi_a,
-# psi_j = psi(2^-j |xi|), psi_-inf = 0, psi_+inf = 1.  It telescopes to the
-# blocks a .. b-1: S_m is (-inf, m), Delta_l is (l, l+1), the tail is (k, +inf)
-# and the five-block neighbourhood of l is (l-2, l+3).  psi is exactly 0 or 1
-# on its plateaus, so products of bands keep the zero sets of chained filters.
+# A filter is a tuple of bands (a, b), as in the ``dyadic`` module docstring.
 
 
 def _band(a, b) -> tuple:
@@ -197,19 +193,12 @@ class _Workspace:
             return self.u
         out = self._fields.get(filt)
         if out is None:
-            sym = 1.0
-            for a, b in filt:
-                hi = 1.0 if b == math.inf else self._psi(b)
-                sym = sym * (hi if a == -math.inf else hi - self._psi(a))
-            out = self.u.map(lambda c: c.apply_multiplier(sym))
+            out = dyadic.band(self.u, filt, self.profile)
             # single bands are kept; products of bands are cheap to rebuild
             # and would dominate the footprint
             if len(filt) == 1:
                 self._fields[filt] = out
         return out
-
-    def _psi(self, j: int) -> np.ndarray:
-        return dyadic._multiplier(self.grid, "psi", j, self.profile)
 
     def is_zero(self, filt: tuple) -> bool:
         flag = self._zero.get(filt)
@@ -385,10 +374,9 @@ def ledger_fractional_low(
 def _tail_grad_norm(u: VectorField, k: int, order: float, profile) -> float:
     """Block-sum norm of grad(tail) at the given regularity, levels >= k."""
     window = DyadicWindow.for_grid(u.grid)
-    tail = dyadic.tail_vector(u, k, profile)
     total = 0.0
     for l in range(k, window.k_max + 2):
-        b = dyadic.block_vector(tail, l, profile)
+        b = dyadic.band(u, ((l, l + 1), (k, math.inf)), profile)
         gsq = 0.0
         for c in b.components:
             gsq += norms.dirichlet(c)
@@ -646,12 +634,8 @@ def support_audit(
         if a.max_abs_coeff() == 0.0 or b.max_abs_coeff() == 0.0:
             return
         p = products.product(a, b)
-        lo = math.ldexp(1.0, l - 2)
-        hi = 1.125 * math.ldexp(1.0, l + 1)
-        outside = ~((g.xi_abs >= lo) & (g.xi_abs < hi))
-        mag = np.abs(p.coeffs)
-        max_out = float(mag[outside].max()) if outside.any() else 0.0
-        scale = float(mag.max())
+        lo, hi, max_in, max_out = dyadic.annulus_audit(p, l)
+        scale = max(max_in, max_out)
         pairing = 0.0
         disjoint = lo >= math.ldexp(1.0, k)
         if disjoint and grad_scale > 0:
@@ -730,7 +714,7 @@ def diagnostics(
     per_k: dict[int, dict[str, float]] = {}
     for k in window.indices():
         row: dict[str, float] = {}
-        su = dyadic.lowpass_vector(u, k, profile)
+        su = dyadic.lowpass(u, k, profile)
         linf = norms.lp_norm(su, math.inf)
         row["lowpass_linf"] = linf
         row["classical_smallness"] = math.ldexp(1.0, -k) * linf
@@ -744,19 +728,18 @@ def diagnostics(
         if theta is not None:
             m1 = split_index(theta, k)
             m2 = split_index(Fraction(1, 2), k)
-            band1 = _band_sum(u, m1, k - 1, profile)
-            band2 = _band_sum(u, m2, k - 1, profile)
             w = math.ldexp(1.0, k) ** (1.0 - 2.0 * sv)
-            row["tail_band_theta_linf"] = norms.lp_norm(band1, math.inf) if band1 else 0.0
-            row["tail_band_half_linf"] = norms.lp_norm(band2, math.inf) if band2 else 0.0
+            # sup norm of the blocks m .. k-1 of u
+            for key, m in (("tail_band_theta_linf", m1), ("tail_band_half_linf", m2)):
+                row[key] = norms.lp_norm(dyadic.band(u, ((m, k),), profile), math.inf) if m < k else 0.0
             row["high_band_smallness"] = w * (
                 row["tail_band_theta_linf"] + row["tail_band_half_linf"]
             )
             row["tail_besov_theta"] = norms.besov_infty_norm(
-                dyadic.tail_vector(u, m1, profile), 1.0 - 2.0 * sv, window, profile
+                dyadic.tail(u, m1, profile), 1.0 - 2.0 * sv, window, profile
             )
             row["tail_besov_half"] = norms.besov_infty_norm(
-                dyadic.tail_vector(u, m2, profile), 1.0 - 2.0 * sv, window, profile
+                dyadic.tail(u, m2, profile), 1.0 - 2.0 * sv, window, profile
             )
         per_k[k] = row
 
@@ -804,7 +787,7 @@ def diagnostics(
             lambda k: per_k[k]["tail_besov_half"] / math.ldexp(1.0, k) ** (1.0 - 2.0 * sv),
         )
 
-    u0 = dyadic.tail_vector(u, 0, profile)
+    u0 = dyadic.tail(u, 0, profile)
     windowed_min = {
         key: min(per_k[k][key] for k in per_k)
         for key in ("classical_smallness", "fractional_smallness")
@@ -820,15 +803,6 @@ def diagnostics(
     )
 
 
-def _band_sum(u: VectorField, a: int, b: int, profile) -> VectorField | None:
-    if a > b:
-        return None
-    out = dyadic.block_vector(u, a, profile)
-    for l in range(a + 1, b + 1):
-        out = out + dyadic.block_vector(u, l, profile)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # identity bounding chains (level-resolved majorants of the localized terms)
 
@@ -842,21 +816,21 @@ def snc_chains(u: VectorField, led: TrilinearLedger, s=None, profile=DEFAULT_PRO
     and the third term against the [k/2]+3 energy.
     """
     k = led.k
-    su_inf = norms.lp_norm(dyadic.lowpass_vector(u, k, profile), math.inf)
+    su_inf = norms.lp_norm(dyadic.lowpass(u, k, profile), math.inf)
     lhs12 = abs(led.terms["snc_rhs_1"] + led.terms["snc_rhs_2"])
     lhs3 = abs(led.terms["snc_rhs_3"])
     half3 = split_index(Fraction(1, 2), k) + 3
     out = {}
     if s is None:
-        e12 = norms.dirichlet(dyadic.lowpass_vector(u, k + 3, profile))
-        e3 = norms.dirichlet(dyadic.lowpass_vector(u, half3, profile))
+        e12 = norms.dirichlet(dyadic.lowpass(u, k + 3, profile))
+        e3 = norms.dirichlet(dyadic.lowpass(u, half3, profile))
         rhs12 = math.ldexp(1.0, -k) * su_inf * e12
         rhs3 = math.ldexp(1.0, -k) * su_inf * e3
     else:
         sv = float(as_fraction(s))
         w = math.ldexp(1.0, k) ** (1.0 - 2.0 * sv)
-        e12 = norms.sobolev_norm(dyadic.lowpass_vector(u, k + 3, profile), sv) ** 2
-        e3 = norms.sobolev_norm(dyadic.lowpass_vector(u, half3, profile), sv) ** 2
+        e12 = norms.sobolev_norm(dyadic.lowpass(u, k + 3, profile), sv) ** 2
+        e3 = norms.sobolev_norm(dyadic.lowpass(u, half3, profile), sv) ** 2
         rhs12 = w * su_inf * e12
         rhs3 = w * su_inf * e3
     out["retained-12"] = (lhs12, rhs12, lhs12 / rhs12 if rhs12 > 0 else 0.0)
@@ -893,9 +867,8 @@ def energy_balance_residual(
        (-D)^(s/2) tail>  -  <f, tail>  |
     """
     sv = float(as_fraction(s))
-    g = u.grid
-    tl = dyadic.tail_vector(u, k, profile)
-    su = dyadic.lowpass_vector(u, k, profile)
+    tl = dyadic.tail(u, k, profile)
+    su = dyadic.lowpass(u, k, profile)
     t1 = norms.fractional_dirichlet(tl, sv)
     t2 = products.trilinear(u, u, tl)
     t3 = _frac_pairing(su, tl, sv)
@@ -906,14 +879,11 @@ def energy_balance_residual(
 
 
 def _frac_pairing(a: VectorField, b: VectorField, s: float) -> float:
-    g = a.grid
-    with np.errstate(divide="ignore"):
-        w = g.xi_sq ** s
-    w[0, 0, 0] = 0.0
+    w = _xi_power(a.grid, 2.0 * s)
     total = 0.0
     for ca, cb in zip(a.components, b.components):
         total += float(np.sum(w * (ca.coeffs * np.conj(cb.coeffs)).real))
-    return total * g.spectral_cell
+    return total * a.grid.spectral_cell
 
 
 def _l2_pairing(a: VectorField, b: VectorField) -> float:

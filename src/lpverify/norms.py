@@ -16,7 +16,7 @@ import numpy as np
 
 from . import dyadic
 from .errors import FieldError
-from .spectral import SpectralField, VectorField
+from .spectral import SpectralField, VectorField, _xi_power
 
 __all__ = [
     "NormReport",
@@ -85,11 +85,7 @@ def dirichlet(u: VectorField | SpectralField) -> float:
 
 def fractional_dirichlet(u: VectorField | SpectralField, s: float) -> float:
     """integral of |(-Delta)^(s/2) u|^2, via the |xi|^(2s) Plancherel weight."""
-    g = u.grid
-    with np.errstate(divide="ignore"):
-        w = g.xi_sq ** float(s)
-    w[0, 0, 0] = 0.0
-    return _spectral_weighted_sq(u, w)
+    return _spectral_weighted_sq(u, _xi_power(u.grid, 2.0 * float(s)))
 
 
 def sobolev_norm(
@@ -120,7 +116,7 @@ def sobolev_norm(
 def _block_l2(u: SpectralField | VectorField, k: int, profile) -> float:
     comps = [u] if isinstance(u, SpectralField) else list(u.components)
     g = comps[0].grid
-    mult = dyadic._multiplier(g, "phi", k, profile)
+    mult = dyadic._multiplier(g, k, k + 1, profile)
     total = 0.0
     for c in comps:
         total += float(np.sum((mult**2) * (c.coeffs.real**2 + c.coeffs.imag**2)))

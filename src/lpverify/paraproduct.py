@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import dyadic, norms, products
 from .dyadic import DEFAULT_PROFILE, DyadicProfile, DyadicWindow
 from .errors import FieldError, WindowError
@@ -104,29 +102,16 @@ def bony_split(
             p = products.product(bf, lg)
             t_fg = t_fg + p
             if audit:
-                audits.append(_audit_annulus("t_fg", i, p))
+                audits.append(SummandAudit("t_fg", i, *dyadic.annulus_audit(p, i)))
         if bg.max_abs_coeff() and lf.max_abs_coeff():
             p = products.product(bg, lf)
             t_gf = t_gf + p
             if audit:
-                audits.append(_audit_annulus("t_gf", i, p))
+                audits.append(SummandAudit("t_gf", i, *dyadic.annulus_audit(p, i)))
         tg_i = dyadic.tilde_block(g, i, profile)
         if bf.max_abs_coeff() and tg_i.max_abs_coeff():
             rem = rem + products.product(bf, tg_i)
     return BonySplit(t_fg, t_gf, rem, tuple(audits))
-
-
-def _audit_annulus(term: str, level: int, p: SpectralField) -> SummandAudit:
-    """Measure containment in {2^(l-2) <= |xi| < (9/8) 2^(l+1)}."""
-    lo = math.ldexp(1.0, level - 2)
-    hi = 1.125 * math.ldexp(1.0, level + 1)
-    r = p.grid.xi_abs
-    inside = (r >= lo) & (r < hi)
-    mag = np.abs(p.coeffs)
-    max_in = float(mag[inside].max()) if inside.any() else 0.0
-    outside = ~inside
-    max_out = float(mag[outside].max()) if outside.any() else 0.0
-    return SummandAudit(term, level, lo, hi, max_in, max_out)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +171,7 @@ def product_sobolev_bound(
     levels = tuple(window.indices())
     bf = {k: norms._block_l2(f, k, profile) for k in levels}
     bg = {k: norms._block_l2(g, k, profile) for k in levels}
-    tg_l2 = {k: _tilde_l2(g, k, profile) for k in levels}
+    tg_l2 = {k: dyadic.tilde_block(g, k, profile).l2() for k in levels}
 
     lk, mk, nk = [], [], []
     lk_bound, mk_bound, nk_bound = [], [], []
@@ -224,10 +209,6 @@ def product_sobolev_bound(
         c_emp_high_low=_c_emp(mk, mk_bound),
         c_emp_resonant=_c_emp(nk, nk_bound),
     )
-
-
-def _tilde_l2(g: SpectralField, k: int, profile) -> float:
-    return dyadic.tilde_block(g, k, profile).l2()
 
 
 def _paraproduct_bound(k: int, bf: dict, bg: dict, s: float, levels) -> float:

@@ -409,12 +409,16 @@ def inverse_fractional_laplacian(u: SpectralField, s: float) -> SpectralField:
     return _apply_xi_power(u, -2.0 * s)
 
 
-def _apply_xi_power(u: SpectralField, power: float) -> SpectralField:
-    g = u.grid
+def _xi_power(grid: TorusGrid, power: float) -> np.ndarray:
+    """The symbol |xi|^power on the lattice, with the zero mode set to 0."""
     with np.errstate(divide="ignore"):
-        mult = g.xi_sq ** (power / 2.0)
-    mult[0, 0, 0] = 0.0
-    out = u.coeffs * mult
+        w = grid.xi_sq ** (power / 2.0)
+    w[0, 0, 0] = 0.0
+    return w
+
+
+def _apply_xi_power(u: SpectralField, power: float) -> SpectralField:
+    out = u.coeffs * _xi_power(u.grid, power)
     out[0, 0, 0] = 0.0
     return u.with_coeffs(out, mean_zero=True)
 

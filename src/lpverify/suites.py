@@ -381,7 +381,7 @@ def _suite_dyadic(cfg: SuiteConfig) -> SuiteResult:
     droot = math.sqrt(norms.dirichlet(u))
     worst = 0.0
     for k in win.indices():
-        tl = dyadic.tail_vector(u, k)
+        tl = dyadic.tail(u, k)
         bound = math.ldexp(1.0, -k) ** 0.5 * droot
         worst = max(worst, norms.lp_norm(tl, 3.0) / bound)
     checks.append(_check_bound("tail-l3-bound", "tail-lebesgue-bound", worst, cfg.tol("tail-l3-constant")))

@@ -9,7 +9,7 @@ from lpverify import TorusGrid, bernstein_check, block, lowpass, tail, tilde_blo
 from lpverify.dyadic import DEFAULT_PROFILE, DyadicProfile, DyadicWindow, _floor_log2
 from lpverify.errors import FieldError, WindowError
 from lpverify.spectral import TWO_PI
-from lpverify import dyadic, forge, norms
+from lpverify import dyadic, forge, ledger, norms, suites
 
 
 # -- profile -------------------------------------------------------------------
@@ -162,6 +162,37 @@ def test_tail_l3_bound(grid64):
         tl = u.map(lambda c: tail(c, k))
         bound = math.ldexp(1.0, -k) ** 0.5 * droot
         assert norms.lp_norm(tl, 3.0) <= 4.0 * bound
+
+
+# -- band symbols and their cache ---------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128])
+@pytest.mark.parametrize("box", ["2pi", "decay"])
+def test_block_symbol_is_lowpass_difference(n, box):
+    L = TWO_PI if box == "2pi" else suites.decay_box_length(n)
+    win = DyadicWindow.for_grid(TorusGrid(n, L))
+    for k in range(win.k_min - 4, win.k_max + 4):
+        g = TorusGrid(n, L)  # fresh per level, so the cache stays one level deep
+        blk = dyadic._multiplier(g, k, k + 1, DEFAULT_PROFILE)
+        diff = (
+            dyadic._multiplier(g, -math.inf, k + 1, DEFAULT_PROFILE)
+            - dyadic._multiplier(g, -math.inf, k, DEFAULT_PROFILE)
+        )
+        assert np.array_equal(blk, diff), k
+        assert np.array_equal(np.signbit(blk), np.signbit(diff)), k
+
+
+def test_cache_holds_only_lowpasses_and_blocks():
+    g = TorusGrid(32, TWO_PI)
+    u = suites._window_field(g, 3)
+    ledger.ledger_classical(u, 1)
+    ledger.support_audit(u, 1)
+    ledger.diagnostics(u, "3/5")
+    keys = list(g._mult_cache)
+    assert keys
+    composite = [(a, b) for _, a, b in keys if a != -math.inf and b != a + 1]
+    assert composite == []
 
 
 # -- Bernstein ---------------------------------------------------------------------

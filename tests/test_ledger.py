@@ -79,8 +79,8 @@ def test_ledger_identities(field64):
 
 def test_ledger_matches_explicit_trilinear(field64):
     led = ledger.ledger_classical(field64, 2)
-    tl = dyadic.tail_vector(field64, 2)
-    su = dyadic.lowpass_vector(field64, 2)
+    tl = dyadic.tail(field64, 2)
+    su = dyadic.lowpass(field64, 2)
     # the compact pieces agree with direct trilinear evaluations
     assert abs(led.terms["I1"] - products.trilinear(su, su, tl)) <= 1e-12 * led.scale
     assert abs(led.terms["I2"] - products.trilinear(tl, su, tl)) <= 1e-12 * led.scale
@@ -168,35 +168,35 @@ def test_s_half_uses_level_zero_split(field64):
 def _literal_filters(u, k):
     """Each filter the ledger uses, built by chaining the public dyadic operators."""
     D = dyadic
-    tail = D.tail_vector(u, k)
-    su = D.lowpass_vector(u, k)
+    tail = u - D.lowpass(u, k)
+    su = D.lowpass(u, k)
 
     def block_sum(f, a, b):
-        out = D.block_vector(f, a)
+        out = D.block(f, a)
         for l in range(a + 1, b + 1):
-            out = out + D.block_vector(f, l)
+            out = out + D.block(f, l)
         return out
 
     low, band, block = ledger._low, ledger._band, ledger._block
     t = band(k, math.inf)
     for m in range(k - 4, k + 2):
-        yield f"Su({m})", low(m), D.lowpass_vector(u, m)
-        yield f"SS({m})", low(m) + low(k), D.lowpass_vector(su, m)
-        yield f"Stail({m})", low(m) + t, D.lowpass_vector(tail, m)
+        yield f"Su({m})", low(m), D.lowpass(u, m)
+        yield f"SS({m})", low(m) + low(k), D.lowpass(su, m)
+        yield f"Stail({m})", low(m) + t, D.lowpass(tail, m)
         for m1 in range(0, k + 1):
-            yield f"SSm({m},{m1})", low(m) + low(m1), D.lowpass_vector(D.lowpass_vector(u, m1), m)
+            yield f"SSm({m},{m1})", low(m) + low(m1), D.lowpass(D.lowpass(u, m1), m)
             if m1 <= k - 1:
                 yield (
                     f"SsumB({m},{m1},{k - 1})",
                     low(m) + band(m1, k),
-                    D.lowpass_vector(block_sum(u, m1, k - 1), m),
+                    D.lowpass(block_sum(u, m1, k - 1), m),
                 )
     yield "tail", t, tail
     for l in range(k - 3, k + 5):
-        yield f"B({l})", block(l), D.block_vector(u, l)
-        yield f"D({l})", block(l) + t, D.block_vector(tail, l)
+        yield f"B({l})", block(l), D.block(u, l)
+        yield f"D({l})", block(l) + t, D.block(tail, l)
         yield f"T({l})", band(l - 2, l + 3) + t, block_sum(tail, l - 2, l + 2)
-        yield f"DS({l})", block(l) + low(k), D.block_vector(su, l)
+        yield f"DS({l})", block(l) + low(k), D.block(su, l)
     for a in range(0, k):
         yield f"sumB({a},{k - 1})", band(a, k), block_sum(u, a, k - 1)
 

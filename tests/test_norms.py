@@ -139,7 +139,7 @@ def test_hausdorff_young_style_chain(grid64):
     win = DyadicWindow.for_grid(grid64)
     const = (2.0 * math.pi) ** -1.5 * (4.0 * math.pi / 3.0) ** (1.0 / 3.0)
     for k in range(1, win.k_max + 1):
-        su = dyadic.lowpass_vector(u, k)
+        su = dyadic.lowpass(u, k)
         lhs = math.ldexp(1.0, -k) * lp_norm(su, math.inf)
         rhs = spectral_lr_ball(u, 1.5, math.ldexp(1.0, k))
         assert lhs <= 4.0 * const * rhs + 1e-300
