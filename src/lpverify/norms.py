@@ -42,6 +42,10 @@ class NormReport:
             raise FieldError(f"norm {self.name} is not finite/nonnegative: {self.value}")
 
 
+def _components(u: SpectralField | VectorField) -> list[SpectralField]:
+    return [u] if isinstance(u, SpectralField) else list(u.components)
+
+
 def _magnitude_samples(u: SpectralField | VectorField) -> np.ndarray:
     if isinstance(u, SpectralField):
         return np.abs(u.samples())
@@ -69,7 +73,7 @@ def lp_norm(u: SpectralField | VectorField, p: float) -> float:
 
 
 def _spectral_weighted_sq(u: SpectralField | VectorField, weight: np.ndarray) -> float:
-    comps = [u] if isinstance(u, SpectralField) else list(u.components)
+    comps = _components(u)
     g = comps[0].grid
     total = 0.0
     for c in comps:
@@ -79,8 +83,7 @@ def _spectral_weighted_sq(u: SpectralField | VectorField, weight: np.ndarray) ->
 
 def dirichlet(u: VectorField | SpectralField) -> float:
     """Dirichlet integral: the squared L^2 norm of the full gradient."""
-    g = u.grid if isinstance(u, VectorField) else u.grid
-    return _spectral_weighted_sq(u, g.xi_sq)
+    return _spectral_weighted_sq(u, u.grid.xi_sq)
 
 
 def fractional_dirichlet(u: VectorField | SpectralField, s: float) -> float:
@@ -114,7 +117,7 @@ def sobolev_norm(
 
 
 def _block_l2(u: SpectralField | VectorField, k: int, profile) -> float:
-    comps = [u] if isinstance(u, SpectralField) else list(u.components)
+    comps = _components(u)
     g = comps[0].grid
     mult = dyadic._multiplier(g, k, k + 1, profile)
     total = 0.0
@@ -141,7 +144,7 @@ def besov_infty_norm(
     """sup over window levels of 2^(ks) * max-abs of the dyadic block."""
     g = u.grid
     window = window or dyadic.DyadicWindow.for_grid(g)
-    comps = [u] if isinstance(u, SpectralField) else list(u.components)
+    comps = _components(u)
     best = 0.0
     for k in window.indices():
         blocks = [dyadic.block(c, k, profile) for c in comps]
@@ -158,7 +161,7 @@ def spectral_lr_ball(u: SpectralField | VectorField, r: float, radius: float) ->
     """||u_hat||_{L^r} over the ball |xi| <= radius, lattice quadrature."""
     if r < 1:
         raise FieldError(f"spectral L^r norm needs r >= 1, got {r}")
-    comps = [u] if isinstance(u, SpectralField) else list(u.components)
+    comps = _components(u)
     g = comps[0].grid
     mask = g.xi_abs <= radius
     mag_sq = np.zeros(int(mask.sum()))

@@ -108,9 +108,10 @@ def bony_split(
             t_gf = t_gf + p
             if audit:
                 audits.append(SummandAudit("t_gf", i, *dyadic.annulus_audit(p, i)))
-        tg_i = dyadic.tilde_block(g, i, profile)
-        if bf.max_abs_coeff() and tg_i.max_abs_coeff():
-            rem = rem + products.product(bf, tg_i)
+        if bf.max_abs_coeff():
+            tg_i = dyadic.tilde_block(g, i, profile)
+            if tg_i.max_abs_coeff():
+                rem = rem + products.product(bf, tg_i)
     return BonySplit(t_fg, t_gf, rem, tuple(audits))
 
 
@@ -171,7 +172,8 @@ def product_sobolev_bound(
     levels = tuple(window.indices())
     bf = {k: norms._block_l2(f, k, profile) for k in levels}
     bg = {k: norms._block_l2(g, k, profile) for k in levels}
-    tg_l2 = {k: dyadic.tilde_block(g, k, profile).l2() for k in levels}
+    # _resonant_bound weighs tg_l2[k] by bf[k], so it is only built where bf[k] != 0
+    tg_l2 = {k: dyadic.tilde_block(g, k, profile).l2() if bf[k] else 0.0 for k in levels}
 
     lk, mk, nk = [], [], []
     lk_bound, mk_bound, nk_bound = [], [], []

@@ -1,15 +1,18 @@
 """De-aliased products, trilinear advective integrals, pressure recovery.
 
-Quadratic and cubic expressions are evaluated in physical space.  The
-evaluation grid is chosen by integer mode arithmetic: a product computed
-on an n-grid is exact on the retained modes as long as alias images
-(shifted by 2*Nyquist per axis) cannot land inside them.  Window-band
-fields always satisfy this on their own grid; anything wider is evaluated
-after zero-padding to 2n per axis, which resolves every quadratic and
-cubic interaction of n-grid fields exactly.
+Quadratic and cubic expressions are evaluated in physical space on one
+grid rule (Orszag's): a product of fields with axis bandwidth sum B,
+sampled on an n'-grid, is exact on the modes |m| <= t iff B + t < n',
+because its alias images sit at axis distance >= n' - B from the true
+content.  Every product is evaluated on the smallest power-of-two grid
+n' >= 8 meeting that bound, whether below or above the fields' own n:
+window-band fields stay on their grid, narrow-band pairs drop to a
+coarser one, and full-band fields go to 2n.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import scipy.fft as _fft
@@ -22,7 +25,6 @@ from .spectral import (
     VectorField,
     fft_workers,
     gradient,
-    padded_grid,
     transform_forward,
 )
 
@@ -33,92 +35,70 @@ __all__ = [
     "advective_term",
     "trilinear",
     "pressure_from_velocity",
-    "resample",
 ]
 
 
-def _embed_indices(src: TorusGrid, dst: TorusGrid) -> np.ndarray:
-    if dst.n < src.n or dst.box_length != src.box_length:
-        raise GridError("destination grid does not refine the source grid")
-    return (src.modes % dst.n).astype(np.intp)
+def _common_axis(src: TorusGrid, dst: TorusGrid) -> tuple[slice, slice]:
+    """Axis slices holding the modes 0..h and -h..-1, h = min(n_src, n_dst)/2 - 1.
+
+    They index m % n on either grid, so one slice pair serves both sides.
+    """
+    if dst.box_length != src.box_length:
+        raise GridError("grids cover different boxes")
+    h = min(src.n, dst.n) // 2 - 1
+    return slice(0, h + 1), slice(-h, None)
 
 
-def _require_clean_band(u: SpectralField) -> None:
-    if u.band_axis > u.grid.n // 2 - 1:
+def _require_clean_band(u: SpectralField, dst: TorusGrid) -> None:
+    n = min(u.grid.n, dst.n)
+    if u.band_axis > n // 2 - 1:
         raise AliasingGuardError(
-            "field carries unpaired Nyquist-plane energy; its products cannot "
-            f"be resolved exactly on n={u.grid.n}"
+            f"field of axis bandwidth {u.band_axis} has energy at or beyond the "
+            f"Nyquist plane of n={n}; its samples there would alias"
         )
 
 
 def samples_on(u: SpectralField, dst: TorusGrid) -> np.ndarray:
-    """Sample the trigonometric field on a refined grid (real fields)."""
+    """Sample the trigonometric field on another grid of the same box (real fields)."""
     g = u.grid
-    if dst is g or dst == g:
+    if dst == g:
         return u.samples()
-    _require_clean_band(u)
-    idx = _embed_indices(g, dst)
+    ax = _common_axis(g, dst)
+    _require_clean_band(u, dst)
     half = np.zeros((dst.n, dst.n, dst.n // 2 + 1), dtype=np.complex128)
-    # nonzero source modes have |m| <= n/2-1, so kz indices 0..n/2-1 map
-    # straight into the destination half-spectrum
-    kz = np.arange(g.n // 2)
-    half[np.ix_(idx, idx, kz)] = u.coeffs[:, :, : g.n // 2]
+    for sx, sy in itertools.product(ax, repeat=2):
+        half[sx, sy, ax[0]] = u.coeffs[sx, sy, ax[0]]
     scale = FOURIER_NORM / dst.cell_volume
     return _fft.irfftn(half * scale, s=(dst.n,) * 3, workers=fft_workers())
 
 
 def restrict_to(samples: np.ndarray, eval_grid: TorusGrid, out: TorusGrid) -> SpectralField:
-    """Forward-transform on the evaluation grid, keep the coarse lattice.
+    """Forward-transform on the evaluation grid, keep the modes ``out`` resolves.
 
-    Modes beyond the coarse grid's resolution are discarded and the
-    unpaired Nyquist planes zeroed, so the result is a clean calculus-band
-    field on ``out``.
+    The unpaired Nyquist planes of both grids are left out, so the result
+    is a clean calculus-band field on ``out``.
     """
     f = transform_forward(eval_grid, samples)
-    if eval_grid == out:
-        coeffs = f.coeffs.copy()
-    else:
-        idx = _embed_indices(out, eval_grid)
-        coeffs = f.coeffs[np.ix_(idx, idx, idx)]
-    ny = out.n // 2
-    coeffs[ny, :, :] = 0.0
-    coeffs[:, ny, :] = 0.0
-    coeffs[:, :, ny] = 0.0
+    coeffs = np.zeros((out.n,) * 3, dtype=np.complex128)
+    for octant in itertools.product(_common_axis(eval_grid, out), repeat=3):
+        coeffs[octant] = f.coeffs[octant]
     return SpectralField(out, coeffs, real_valued=True, mean_zero=bool(coeffs[0, 0, 0] == 0))
 
 
-def resample(u: SpectralField, dst: TorusGrid) -> SpectralField:
-    """The same trigonometric field represented on a refined grid."""
-    if dst == u.grid:
-        return u
-    _require_clean_band(u)
-    idx = _embed_indices(u.grid, dst)
-    coeffs = np.zeros((dst.n,) * 3, dtype=np.complex128)
-    coeffs[np.ix_(idx, idx, idx)] = u.coeffs
-    return SpectralField(dst, coeffs, real_valued=u.real_valued, mean_zero=u.mean_zero)
+def _eval_grid_for(grid: TorusGrid, band_sum: int, t: int) -> TorusGrid:
+    """The smallest power-of-two grid on which a product is exact on |m| <= t.
 
-
-def _eval_grid_for(grid: TorusGrid, band_sum: int, target_band: int, pad) -> TorusGrid:
-    """Pick the grid on which a product is alias-free on the target modes.
-
-    Alias images of the true content (axis bandwidth ``band_sum``) sit at
-    axis distance >= n - band_sum from it, so the retained modes
-    |m| <= target_band stay exact iff band_sum + target_band < n.
+    Alias images of content of axis bandwidth ``band_sum`` sit at axis
+    distance >= n' - band_sum from it, so the modes |m| <= t stay exact
+    iff band_sum + t < n'.
     """
-    if pad == "always":
-        return padded_grid(grid)
-    if pad == "never":
-        if band_sum + target_band >= grid.n:
-            raise AliasingGuardError(
-                f"product bandwidth {band_sum} aliases into |m| <= {target_band} on n={grid.n}"
-            )
-        return grid
-    if band_sum + target_band < grid.n:
-        return grid
-    return padded_grid(grid)
+    n = 8
+    while n <= band_sum + t:
+        n *= 2
+    return grid if n == grid.n else TorusGrid(n, grid.box_length)
 
 
-def product(f: SpectralField, g: SpectralField, pad="auto") -> SpectralField:
+def product(f: SpectralField, g: SpectralField) -> SpectralField:
     """De-aliased pointwise product returned on the common grid."""
     if f.grid != g.grid:
         raise GridError("product operands live on different grids")
@@ -126,19 +106,19 @@ def product(f: SpectralField, g: SpectralField, pad="auto") -> SpectralField:
     if f.max_abs_coeff() == 0.0 or g.max_abs_coeff() == 0.0:
         return SpectralField.zeros(grid)
     band_sum = f.band_axis + g.band_axis
-    eg = _eval_grid_for(grid, band_sum, grid.n // 2 - 1, pad)
+    eg = _eval_grid_for(grid, band_sum, min(grid.n // 2 - 1, band_sum))
     fs = samples_on(f, eg)
     gs = samples_on(g, eg)
     return restrict_to(fs * gs, eg, grid)
 
 
-def advective_term(u: VectorField, a: VectorField, pad="auto") -> VectorField:
+def advective_term(u: VectorField, a: VectorField) -> VectorField:
     """(u . grad) a, fully de-aliased, on the common grid."""
     grid = u.grid
     if a.grid != grid:
         raise GridError("advection operands live on different grids")
     band_sum = u.band_axis() + a.band_axis()
-    eg = _eval_grid_for(grid, band_sum, grid.n // 2 - 1, pad)
+    eg = _eval_grid_for(grid, band_sum, min(grid.n // 2 - 1, band_sum))
     us = [samples_on(c, eg) for c in u.components]
     comps = []
     for ai in a.components:
@@ -150,11 +130,12 @@ def advective_term(u: VectorField, a: VectorField, pad="auto") -> VectorField:
     return VectorField(tuple(comps))  # type: ignore[arg-type]
 
 
-def trilinear(u: VectorField, a: VectorField, b: VectorField, pad="auto") -> float:
+def trilinear(u: VectorField, a: VectorField, b: VectorField) -> float:
     """The advective trilinear form  integral of u . grad a . b dx.
 
     Evaluated as a plain quadrature on a grid fine enough that no alias
-    image can reach the zero mode of the cubic integrand.
+    image can reach the zero mode of the cubic integrand and every factor
+    is resolved.
     """
     grid = u.grid
     if a.grid != grid or b.grid != grid:
@@ -165,8 +146,8 @@ def trilinear(u: VectorField, a: VectorField, b: VectorField, pad="auto") -> flo
         and u.components[2].max_abs_coeff() == 0.0
     ):
         return 0.0
-    band_sum = u.band_axis() + a.band_axis() + b.band_axis()
-    eg = _eval_grid_for(grid, band_sum, 0, pad)
+    bands = (u.band_axis(), a.band_axis(), b.band_axis())
+    eg = _eval_grid_for(grid, sum(bands), max(bands))
     us = [samples_on(c, eg) for c in u.components]
     gys: list = [None] * 3
     zs: list = [None] * 3
@@ -194,7 +175,7 @@ def _contract(xs: list, gys: list, zs: list) -> float:
     return acc
 
 
-def pressure_from_velocity(u: VectorField, pad="auto") -> SpectralField:
+def pressure_from_velocity(u: VectorField) -> SpectralField:
     """Pressure of a mean-zero velocity via -Delta P = div div (u (x) u).
 
     Solved coefficient-wise: P_hat = -(xi (x) xi : T_hat)/|xi|^2 with the
@@ -204,7 +185,7 @@ def pressure_from_velocity(u: VectorField, pad="auto") -> SpectralField:
     acc = np.zeros((grid.n,) * 3, dtype=np.complex128)
     for i in range(3):
         for j in range(i, 3):
-            t = product(u.components[i], u.components[j], pad=pad)
+            t = product(u.components[i], u.components[j])
             w = grid.xi_component(i) * grid.xi_component(j)
             acc += (w if i == j else 2.0 * w) * t.coeffs
     with np.errstate(invalid="ignore", divide="ignore"):

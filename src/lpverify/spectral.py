@@ -129,18 +129,6 @@ class TorusGrid:
         return f"TorusGrid(n={self.n}, box_length={self.box_length!r})"
 
 
-_PAD_GRIDS: dict[tuple[int, float], TorusGrid] = {}
-
-
-def padded_grid(grid: TorusGrid, factor: int = 2) -> TorusGrid:
-    """The factor-refined grid used for de-aliased products."""
-    key = (grid.n * factor, grid.box_length)
-    g = _PAD_GRIDS.get(key)
-    if g is None:
-        g = _PAD_GRIDS.setdefault(key, TorusGrid(grid.n * factor, grid.box_length))
-    return g
-
-
 # ---------------------------------------------------------------------------
 
 

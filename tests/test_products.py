@@ -6,7 +6,7 @@ import pytest
 from lpverify import TorusGrid, VectorField, fractional_laplacian, transform_forward
 from lpverify.errors import AliasingGuardError
 from lpverify.spectral import TWO_PI, SpectralField
-from lpverify import forge, norms, products
+from lpverify import dyadic, forge, norms, products
 
 
 def _band_field(grid, seed, band):
@@ -44,20 +44,73 @@ def test_product_of_sines(grid16):
     assert np.max(np.abs(p.samples() - np.sin(Z) ** 2)) < 1e-13
 
 
-def test_padded_and_native_paths_agree(grid32):
-    u = _band_field(grid32, 7, (1, 2))
-    a = products.product(u.components[0], u.components[1])
-    b = products.product(u.components[0], u.components[1], pad="always")
+def _eval_grid_n(monkeypatch, f, h):
+    seen = []
+    restrict = products.restrict_to
+
+    def spy(samples, eval_grid, out):
+        seen.append(eval_grid.n)
+        return restrict(samples, eval_grid, out)
+
+    monkeypatch.setattr(products, "restrict_to", spy)
+    products.product(f, h)
+    monkeypatch.undo()
+    return seen[0]
+
+
+def _doubled_grid_product(f, h):
+    G = TorusGrid(2 * f.grid.n, f.grid.box_length)
+    return products.restrict_to(
+        products.samples_on(f, G) * products.samples_on(h, G), G, f.grid
+    )
+
+
+def _white_pair(n):
+    u = _band_field(TorusGrid(n, TWO_PI), 7, (1, 2))
+    return u.components[0], u.components[1]
+
+
+def _scalar_pair(n):
+    g = TorusGrid(n, TWO_PI)
+    return forge.scalar_band(g, 5, (2, 2), salt=1), forge.scalar_band(g, 5, (2, 2), salt=2)
+
+
+@pytest.mark.parametrize(
+    "pair, n, eval_n",
+    [(_white_pair, 32, 32), (_scalar_pair, 64, 32)],
+    ids=["white-native-32", "scalar-coarse-64"],
+)
+def test_product_matches_doubled_grid_oracle(monkeypatch, pair, n, eval_n):
+    f, h = pair(n)
+    assert _eval_grid_n(monkeypatch, f, h) == eval_n
+    a = products.product(f, h)
+    b = _doubled_grid_product(f, h)
     assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-13 * max(
         a.max_abs_coeff(), 1e-300
     )
 
 
-def test_never_pad_guard_raises(grid16, rng):
-    f = transform_forward(grid16, rng.standard_normal((16,) * 3))
-    g2 = fractional_laplacian(f, 1.0)
+def test_samples_on_coarsens_band_limited_field(grid32):
+    coarse = TorusGrid(8, grid32.box_length)
+    _, _, Z = coarse.mesh
+    got = products.samples_on(forge.harmonic(grid32, (0, 0, 1)), coarse)
+    assert np.max(np.abs(got - np.sin(Z))) <= 1e-14
+    # mode 4 is the coarse grid's unpaired Nyquist plane
     with pytest.raises(AliasingGuardError):
-        products.product(g2, g2, pad="never")
+        products.samples_on(forge.harmonic(grid32, (0, 0, 4)), coarse)
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_product_grid_is_smallest_alias_free(monkeypatch, n):
+    g = TorusGrid(n, TWO_PI)
+    low = forge.harmonic(g, (0, 0, 1))
+    assert _eval_grid_n(monkeypatch, low, low) == 8
+    k_max = dyadic.DyadicWindow.for_grid(g).k_max
+    u = forge.generate(g, forge.SpectrumSpec("white-band", seed=3, band=(0, k_max)))
+    assert u.band_axis() == n // 4
+    assert _eval_grid_n(monkeypatch, u.components[0], u.components[1]) == n
+    full = forge.harmonic(g, (0, 0, n // 2 - 1))
+    assert _eval_grid_n(monkeypatch, full, full) == 2 * n
 
 
 def test_nyquist_energy_rejected(grid16, rng):
@@ -87,7 +140,7 @@ def test_trilinear_matches_refined_grid_oracle(grid32):
     u = forge.taylor_green(grid32)
     b = _band_field(grid32, 11, (1, 2))
     got = products.trilinear(u, u, b)
-    # oracle: resample everything onto the doubled grid and integrate there
+    # oracle: sample everything on the doubled grid and integrate there
     fine = TorusGrid(64, grid32.box_length)
     acc = 0.0
     from lpverify.spectral import gradient
