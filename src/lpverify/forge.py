@@ -4,14 +4,15 @@ Random fields are painted directly in spectral space.  Every mode's phase
 comes from a counter-based hash of (seed, canonical mode triple), so a
 given (seed, spec, grid) is bit-reproducible, independent of iteration
 order, and modes shared by two grids receive identical values, which is
-what refinement studies rely on.  Because a mode's value depends on that
-mode alone, only the band's support is hashed and painted; the values are
-identical to a full-cube evaluation.
+what refinement studies rely on.
 
 Band-limited spectra are supported on the closed annulus
 [2^k_lo, 2^k_hi], on which the dyadic blocks k_lo..k_hi form an exact
 partition of unity; per-band amplitude targets are enforced by a couple
-of partition-weighted correction sweeps.
+of partition-weighted correction sweeps.  Painting, the solenoidal
+projection and the sweeps act mode by mode, so they run on the support
+only; each block energy is summed over a cube that is zero off the
+support, in cube order, so the values equal a full-cube evaluation.
 """
 
 from __future__ import annotations
@@ -22,13 +23,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dyadic, norms, products
+from . import dyadic, products
 from .errors import PicardError, SpectrumSpecError
 from .spectral import (
     FOURIER_NORM,
     SpectralField,
     TorusGrid,
     VectorField,
+    _leray_modes,
     fractional_laplacian,
     inverse_fractional_laplacian,
     leray_project,
@@ -210,7 +212,9 @@ def scalar_band(
     No solenoidal projection and no per-band renormalisation; useful for
     bilinear checks that need many independent scalar samples.
     """
-    (coeffs,) = _band_cubes(grid, band, -(alpha + 1.5), seed, (salt,), amplitude)
+    idx, (vals,) = _band_support(grid, band, -(alpha + 1.5), seed, (salt,), amplitude)
+    coeffs = np.zeros((grid.n,) * 3, dtype=np.complex128)
+    coeffs[idx] = vals
     return SpectralField(grid, coeffs)
 
 
@@ -222,32 +226,46 @@ def _random_band(grid: TorusGrid, spec: SpectrumSpec, profile) -> VectorField:
             f"band [{k_lo}, {k_hi}] exceeds the grid window "
             f"[{window.k_min}, {window.k_max}]"
         )
-    slope = -(spec.alpha + 1.5) if spec.kind == "power-law" else 0.0
-    cubes = _band_cubes(grid, spec.band, slope, spec.seed, (1, 2, 3))  # type: ignore[arg-type]
-    u = leray_project(VectorField(tuple(SpectralField(grid, c) for c in cubes)))
-    del cubes  # freed before the band-target sweeps, which set the peak memory
-    targets = {
-        k: (
-            spec.amplitude * math.ldexp(1.0, k) ** (-spec.alpha)
-            if spec.kind == "power-law"
-            else spec.amplitude
-        )
-        for k in range(k_lo, k_hi + 1)
-    }
-    u = _enforce_band_targets(u, targets, profile, sweeps=3)
-    return u
+    power = spec.kind == "power-law"
+    slope = -(spec.alpha + 1.5) if power else 0.0
+    idx, vals = _band_support(grid, spec.band, slope, spec.seed, (1, 2, 3))  # type: ignore[arg-type]
+    vals = _leray_modes(vals, [grid.xi_component(a).ravel()[idx[a]] for a in range(3)], grid.xi_sq[idx])
+    targets = {k: spec.amplitude * math.ldexp(1.0, k) ** (-spec.alpha) if power else spec.amplitude
+               for k in range(k_lo, k_hi + 1)}
+    # band-target sweeps: a radial correction, which keeps the field solenoidal,
+    # blends the per-band ratios through the squared partition weights
+    w2 = {k: dyadic._multiplier(grid, k, k + 1, profile)[idx] ** 2 for k in targets}
+    energy = np.zeros((grid.n,) * 3)  # zero off the support, summed in cube order
+    for _ in range(3):
+        num = den = 0.0
+        for k, t in targets.items():
+            total = 0.0
+            for v in vals:
+                energy[idx] = w2[k] * (v.real**2 + v.imag**2)
+                total += float(np.sum(energy))
+            m = math.sqrt(total * grid.spectral_cell)
+            if m == 0.0:
+                raise SpectrumSpecError(f"band {k} received no energy")
+            num = num + w2[k] * (t / m)
+            den = den + w2[k]
+        corr = np.where(den > 0, num / np.maximum(den, 1e-300), 1.0)
+        vals = [v * corr for v in vals]
+    cubes = [np.zeros((grid.n,) * 3, dtype=np.complex128) for _ in vals]
+    for c, v in zip(cubes, vals):
+        c[idx] = v
+    return VectorField(tuple(SpectralField(grid, c) for c in cubes), div_free=True)  # type: ignore[arg-type]
 
 
-def _band_cubes(
+def _band_support(
     grid: TorusGrid,
     band: tuple[int, int],
     slope: float,
     seed: int,
     salts: tuple[int, ...],
     amplitude: float = 1.0,
-) -> list[np.ndarray]:
-    """One coefficient cube per salt, ``amplitude |xi|^slope exp(i sign theta)``
-    on the closed annulus [2^band[0], 2^band[1]] and zero elsewhere.
+) -> tuple[tuple[np.ndarray, ...], list[np.ndarray]]:
+    """The modes ``idx`` of the closed annulus [2^band[0], 2^band[1]] and, per
+    salt, the values ``amplitude |xi|^slope exp(i sign theta)`` on them.
 
     Only the modes of the annulus are signed, hashed and phased; each value
     is a function of its own mode, so it equals a full-cube evaluation.
@@ -264,41 +282,11 @@ def _band_cubes(
     kx = np.where(canon, mx, -mx)
     ky = np.where(canon, my, -my)
     kz = np.where(canon, mz, -mz)
-    cubes = []
+    vals = []
     for salt in salts:
         theta = 2.0 * math.pi * _mode_uniform(seed, kx, ky, kz, salt=salt)
-        coeffs = np.zeros((grid.n,) * 3, dtype=np.complex128)
-        coeffs[idx] = w * np.exp(1j * sign * theta)
-        coeffs[0, 0, 0] = 0.0
-        cubes.append(coeffs)
-    return cubes
-
-
-def _enforce_band_targets(
-    u: VectorField, targets: dict[int, float], profile, sweeps: int
-) -> VectorField:
-    """Rescale radially until measured block amplitudes meet their targets.
-
-    The correction multiplier blends per-band ratios through the squared
-    partition weights; a radial scalar keeps the field solenoidal.
-    """
-    g = u.grid
-    for _ in range(sweeps):
-        ratios = {}
-        for k, t in targets.items():
-            m = norms._block_l2(u, k, profile)
-            if m == 0.0:
-                raise SpectrumSpecError(f"band {k} received no energy")
-            ratios[k] = t / m
-        num = np.zeros((g.n,) * 3)
-        den = np.zeros((g.n,) * 3)
-        for k, rk in ratios.items():
-            w2 = dyadic._multiplier(g, k, k + 1, profile) ** 2
-            num += w2 * rk
-            den += w2
-        corr = np.where(den > 0, num / np.maximum(den, 1e-300), 1.0)
-        u = u.map(lambda c: c.apply_multiplier(corr))
-    return u
+        vals.append(w * np.exp(1j * sign * theta))
+    return idx, vals
 
 
 # ---------------------------------------------------------------------------

@@ -355,14 +355,13 @@ def ledger_fractional_low(
     sv = float(sf)
     sigma = 2.0 * sv - 1.5
     certs: dict[str, float] = {}
+    stress = list(products._stress(u))
     stress_max = 0.0
-    for i in range(3):
-        for j in range(i, 3):
-            t = products.product(u.components[i], u.components[j])
-            stress_max = max(stress_max, norms.sobolev_norm(t, sigma))
+    for _, t in stress:
+        stress_max = max(stress_max, norms.sobolev_norm(t, sigma))
     certs["stress_sobolev_max"] = stress_max
     certs["tail_grad_negative_order"] = _tail_grad_norm(u, k, 1.5 - 2.0 * sv, profile)
-    pressure = products.pressure_from_velocity(u)
+    pressure = products._pressure(u.grid, stress)
     certs["pressure_sobolev"] = norms.sobolev_norm(pressure, sigma)
     certs["hs_norm"] = norms.sobolev_norm(u, sv)
     return TrilinearLedger(

@@ -45,6 +45,8 @@ class BonySplit:
     t_gf: SpectralField
     remainder: SpectralField
     audits: tuple[SummandAudit, ...] = field(default_factory=tuple)
+    #: ||tilde_block(g, i)||_2 for each level i whose tilde block was built
+    tilde_l2: dict[int, float] = field(default_factory=dict)
 
     def total(self) -> SpectralField:
         return self.t_fg + self.t_gf + self.remainder
@@ -93,6 +95,7 @@ def bony_split(
     t_gf = SpectralField.zeros(grid)
     rem = SpectralField.zeros(grid)
     audits: list[SummandAudit] = []
+    tilde_l2: dict[int, float] = {}
     for i in window.indices():
         bf = dyadic.block(f, i, profile)
         bg = dyadic.block(g, i, profile)
@@ -110,9 +113,10 @@ def bony_split(
                 audits.append(SummandAudit("t_gf", i, *dyadic.annulus_audit(p, i)))
         if bf.max_abs_coeff():
             tg_i = dyadic.tilde_block(g, i, profile)
+            tilde_l2[i] = tg_i.l2()
             if tg_i.max_abs_coeff():
                 rem = rem + products.product(bf, tg_i)
-    return BonySplit(t_fg, t_gf, rem, tuple(audits))
+    return BonySplit(t_fg, t_gf, rem, tuple(audits), tilde_l2)
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +176,8 @@ def product_sobolev_bound(
     levels = tuple(window.indices())
     bf = {k: norms._block_l2(f, k, profile) for k in levels}
     bg = {k: norms._block_l2(g, k, profile) for k in levels}
-    # _resonant_bound weighs tg_l2[k] by bf[k], so it is only built where bf[k] != 0
-    tg_l2 = {k: dyadic.tilde_block(g, k, profile).l2() if bf[k] else 0.0 for k in levels}
+    # read only where bf[k] != 0: there block(f, k) != 0, so bony_split built tilde_block(g, k)
+    tg_l2 = {k: split.tilde_l2[k] if bf[k] else 0.0 for k in levels}
 
     lk, mk, nk = [], [], []
     lk_bound, mk_bound, nk_bound = [], [], []

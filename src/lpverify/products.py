@@ -13,6 +13,7 @@ coarser one, and full-band fields go to 2n.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 
 import numpy as np
 import scipy.fft as _fft
@@ -100,6 +101,11 @@ def _eval_grid_for(grid: TorusGrid, band_sum: int, t: int) -> TorusGrid:
 
 def product(f: SpectralField, g: SpectralField) -> SpectralField:
     """De-aliased pointwise product returned on the common grid."""
+    return _product(f, g, samples_on)
+
+
+def _product(f: SpectralField, g: SpectralField, sample) -> SpectralField:
+    """``product`` with the operands sampled by ``sample(field, eval_grid)``."""
     if f.grid != g.grid:
         raise GridError("product operands live on different grids")
     grid = f.grid
@@ -107,9 +113,7 @@ def product(f: SpectralField, g: SpectralField) -> SpectralField:
         return SpectralField.zeros(grid)
     band_sum = f.band_axis + g.band_axis
     eg = _eval_grid_for(grid, band_sum, min(grid.n // 2 - 1, band_sum))
-    fs = samples_on(f, eg)
-    gs = samples_on(g, eg)
-    return restrict_to(fs * gs, eg, grid)
+    return restrict_to(sample(f, eg) * sample(g, eg), eg, grid)
 
 
 def advective_term(u: VectorField, a: VectorField) -> VectorField:
@@ -175,19 +179,34 @@ def _contract(xs: list, gys: list, zs: list) -> float:
     return acc
 
 
+def _stress(u: VectorField) -> Iterator[tuple[tuple[int, int], SpectralField]]:
+    """((i, j), product(u_i, u_j)) for i <= j; each u_i is sampled once per grid."""
+    memo: dict[tuple[int, int], np.ndarray] = {}
+
+    def sample(c: SpectralField, eg: TorusGrid) -> np.ndarray:
+        if (id(c), eg.n) not in memo:
+            memo[id(c), eg.n] = samples_on(c, eg)
+        return memo[id(c), eg.n]
+
+    for i, j in itertools.combinations_with_replacement(range(3), 2):
+        yield (i, j), _product(u.components[i], u.components[j], sample)
+
+
 def pressure_from_velocity(u: VectorField) -> SpectralField:
     """Pressure of a mean-zero velocity via -Delta P = div div (u (x) u).
 
     Solved coefficient-wise: P_hat = -(xi (x) xi : T_hat)/|xi|^2 with the
     de-aliased quadratic stress T = u (x) u; the zero mode is fixed to 0.
     """
-    grid = u.grid
+    return _pressure(u.grid, _stress(u))
+
+
+def _pressure(grid: TorusGrid, stress) -> SpectralField:
+    """The pressure of ``pressure_from_velocity`` from the pairs of ``_stress``."""
     acc = np.zeros((grid.n,) * 3, dtype=np.complex128)
-    for i in range(3):
-        for j in range(i, 3):
-            t = product(u.components[i], u.components[j])
-            w = grid.xi_component(i) * grid.xi_component(j)
-            acc += (w if i == j else 2.0 * w) * t.coeffs
+    for (i, j), t in stress:
+        w = grid.xi_component(i) * grid.xi_component(j)
+        acc += (w if i == j else 2.0 * w) * t.coeffs
     with np.errstate(invalid="ignore", divide="ignore"):
         coeffs = np.where(grid.xi_sq > 0, -acc / grid.xi_sq, 0.0)
     coeffs[0, 0, 0] = 0.0

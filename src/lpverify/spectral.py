@@ -440,14 +440,20 @@ def divergence(u: VectorField) -> SpectralField:
 def leray_project(u: VectorField) -> VectorField:
     """Remove the gradient part: u_hat -> u_hat - xi (xi . u_hat)/|xi|^2."""
     g = u.grid
-    dot = np.zeros((g.n,) * 3, dtype=np.complex128)
-    for axis, c in enumerate(u.components):
-        dot += g.xi_component(axis) * c.coeffs
-    with np.errstate(invalid="ignore", divide="ignore"):
-        dot = np.where(g.xi_sq > 0, dot / g.xi_sq, 0.0)
+    xi = [g.xi_component(axis) for axis in range(3)]
     comps = []
-    for axis, c in enumerate(u.components):
-        out = c.coeffs - g.xi_component(axis) * dot
+    for c, out in zip(u.components, _leray_modes([c.coeffs for c in u.components], xi, g.xi_sq)):
         out[0, 0, 0] = 0.0
         comps.append(SpectralField(g, out, real_valued=c.real_valued, mean_zero=True))
     return VectorField(tuple(comps), div_free=True)  # type: ignore[arg-type]
+
+
+def _leray_modes(coeffs: list, xi: list, xi_sq: np.ndarray) -> list:
+    """The projection mode by mode (0 at xi = 0) on three coefficient arrays;
+    ``xi`` and ``xi_sq`` broadcast to them (lattice cubes or a list of modes)."""
+    dot = np.zeros(np.shape(coeffs[0]), dtype=np.complex128)
+    for x, c in zip(xi, coeffs):
+        dot += x * c
+    with np.errstate(invalid="ignore", divide="ignore"):
+        dot = np.where(xi_sq > 0, dot / xi_sq, 0.0)
+    return [c - x * dot for x, c in zip(xi, coeffs)]

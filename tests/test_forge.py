@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from lpverify.dyadic import DEFAULT_PROFILE, DyadicWindow
 from lpverify.errors import PicardError, SpectrumSpecError
 from lpverify.ledger import fit_decay
 from lpverify.spectral import TWO_PI, SpectralField, VectorField, fractional_laplacian
-from lpverify import forge, norms, products
+from lpverify import dyadic, forge, norms, products
 
 
 def test_spec_validation():
@@ -167,12 +168,32 @@ def _cube_generate(grid, spec):
         else spec.amplitude
         for k in range(spec.band[0], spec.band[1] + 1)
     }
-    return forge._enforce_band_targets(u, targets, DEFAULT_PROFILE, sweeps=3)
+    for _ in range(3):
+        ratios = {}
+        for k, t in targets.items():
+            m = norms._block_l2(u, k, DEFAULT_PROFILE)
+            if m == 0.0:
+                raise SpectrumSpecError(f"band {k} received no energy")
+            ratios[k] = t / m
+        num = np.zeros((grid.n,) * 3)
+        den = np.zeros((grid.n,) * 3)
+        for k, rk in ratios.items():
+            w2 = dyadic._multiplier(grid, k, k + 1, DEFAULT_PROFILE) ** 2
+            num += w2 * rk
+            den += w2
+        corr = np.where(den > 0, num / np.maximum(den, 1e-300), 1.0)
+        u = u.map(lambda c: c.apply_multiplier(corr))
+    return u
 
 
 def _oracle_bands(grid):
     win = DyadicWindow.for_grid(grid)
-    return ((1, 1), (win.k_min, win.k_max))
+    bands = [(1, 1), (win.k_min, win.k_max)]
+    if win.k_max - win.k_min >= 4:
+        # the paraproduct suite's band
+        g = win.guarded(2)
+        bands.append((g.k_min, g.k_max))
+    return tuple(bands)
 
 
 @pytest.mark.parametrize("n", [16, 32, 64])
@@ -197,6 +218,22 @@ def test_generate_matches_full_cube_painter(request, n):
                 want = _cube_generate(grid, spec)
                 for cg, cw in zip(got.components, want.components):
                     assert np.array_equal(cg.coeffs, cw.coeffs), (kind, band, seed)
+
+
+def test_generate_peak_memory():
+    # the projection and the sweeps run on the band's support; after a warm-up
+    # call (lattice and symbol caches) only the three output cubes are full-size
+    grid = TorusGrid(64)
+    win = DyadicWindow.for_grid(grid)
+    spec = forge.SpectrumSpec("white-band", seed=1, band=(win.k_min, win.k_max))
+    forge.generate(grid, spec)
+    tracemalloc.start()
+    try:
+        forge.generate(grid, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 16 * 64**3
 
 
 # -- Picard --------------------------------------------------------------------
