@@ -30,7 +30,9 @@ psi_{k+1} - psi_k bit for bit.  Every other band is composed from cached
 low-passes on each call and is not kept.  Measured at n=64 on 2 vCPUs:
 caching every band added about 10 MiB to the peak RSS of the dyadic and
 paraproduct suites, and caching the low-passes alone (composing every
-block) made the paraproduct suite about 7% slower.
+block) made the paraproduct suite about 7% slower.  A filter reads the
+symbols at a field's ``active`` indices only (its support, when known and
+small), so composing a band there costs the size of the support.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FieldError, WindowError
-from .spectral import SpectralField, TorusGrid
+from .spectral import SpectralField, TorusGrid, _take
 
 _CACHE_BYTES_CAP = 512 * 1024 * 1024
 
@@ -142,16 +144,17 @@ def _floor_log2(x: float) -> int:
 # band symbols and filters
 
 
-def _multiplier(grid: TorusGrid, a: float, b: float, profile: DyadicProfile) -> np.ndarray:
-    """The band symbol psi_b - psi_a on the grid's lattice (a < b)."""
+def _multiplier(grid: TorusGrid, a: float, b: float, profile: DyadicProfile, at=None) -> np.ndarray:
+    """The band symbol psi_b - psi_a (a < b) on the grid's lattice, or at the
+    flat indices ``at`` (a field's ``active`` set) alone."""
     if a != -math.inf and b != a + 1:
-        hi = 1.0 if b == math.inf else _multiplier(grid, -math.inf, b, profile)
-        return hi - _multiplier(grid, -math.inf, a, profile)
+        hi = 1.0 if b == math.inf else _multiplier(grid, -math.inf, b, profile, at)
+        return hi - _multiplier(grid, -math.inf, a, profile, at)
     key = (profile.fingerprint(), a, b)
     cache = grid._mult_cache
     arr = cache.get(key)
     if arr is not None:
-        return arr
+        return arr if at is None else _take(arr, at)
     if a == -math.inf:
         arr = profile.psi(grid.xi_abs * math.ldexp(1.0, -b))
     else:
@@ -162,21 +165,25 @@ def _multiplier(grid: TorusGrid, a: float, b: float, profile: DyadicProfile) -> 
         grid._mult_cache_bytes -= cache.pop(oldest).nbytes
     cache[key] = arr
     grid._mult_cache_bytes += nbytes
-    return arr
+    return arr if at is None else _take(arr, at)
 
 
 def band(u, bands, profile: DyadicProfile = DEFAULT_PROFILE):
     """u (scalar or vector field) times the product of the symbols of ``bands``.
 
-    The product symbol is built once per call and shared by the components.
+    The product symbol is evaluated at each component's ``active`` set
+    only, and the filtered field keeps the modes where the product is
+    nonzero.
     """
-    sym = None
-    for a, b in bands:
-        m = _multiplier(u.grid, a, b, profile)
-        sym = m if sym is None else sym * m
-    if isinstance(u, SpectralField):
-        return u.apply_multiplier(sym)
-    return u.map(lambda c: c.apply_multiplier(sym))
+
+    def apply(c: SpectralField) -> SpectralField:
+        sym = None
+        for a, b in bands:
+            m = _multiplier(c.grid, a, b, profile, c.active)
+            sym = m if sym is None else sym * m
+        return c.apply_multiplier(sym)
+
+    return apply(u) if isinstance(u, SpectralField) else u.map(apply)
 
 
 def block(u, k: int, profile: DyadicProfile = DEFAULT_PROFILE):
@@ -196,10 +203,11 @@ def tail(u, k: int, profile: DyadicProfile = DEFAULT_PROFILE):
 
 def tilde_block(u: SpectralField, l: int, profile: DyadicProfile = DEFAULT_PROFILE) -> SpectralField:
     """Five-block neighbourhood sum over levels l-2 .. l+2."""
-    acc = block(u, l - 2, profile).coeffs
+    at, c = u.active, u.values
+    acc = c * _multiplier(u.grid, l - 2, l - 1, profile, at)
     for lp in range(l - 1, l + 3):
-        acc += _multiplier(u.grid, lp, lp + 1, profile) * u.coeffs
-    return u.with_coeffs(acc)
+        acc += _multiplier(u.grid, lp, lp + 1, profile, at) * c
+    return u.with_values(acc)
 
 
 def annulus_audit(p: SpectralField, l: int) -> tuple[float, float, float, float]:
@@ -210,8 +218,9 @@ def annulus_audit(p: SpectralField, l: int) -> tuple[float, float, float, float]
     """
     lo = math.ldexp(1.0, l - 2)
     hi = 1.125 * math.ldexp(1.0, l + 1)
-    inside = (p.grid.xi_abs >= lo) & (p.grid.xi_abs < hi)
-    mag = np.abs(p.coeffs)
+    r = _take(p.grid.xi_abs, p.active)
+    inside = (r >= lo) & (r < hi)
+    mag = np.abs(p.values)
     max_in = float(np.max(mag, where=inside, initial=0.0))
     return lo, hi, max_in, float(np.max(mag, where=~inside, initial=0.0))
 

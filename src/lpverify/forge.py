@@ -212,10 +212,8 @@ def scalar_band(
     No solenoidal projection and no per-band renormalisation; useful for
     bilinear checks that need many independent scalar samples.
     """
-    idx, (vals,) = _band_support(grid, band, -(alpha + 1.5), seed, (salt,), amplitude)
-    coeffs = np.zeros((grid.n,) * 3, dtype=np.complex128)
-    coeffs[idx] = vals
-    return SpectralField(grid, coeffs)
+    support, (vals,) = _band_support(grid, band, -(alpha + 1.5), seed, (salt,), amplitude)
+    return SpectralField.on_support(grid, support, vals)
 
 
 def _random_band(grid: TorusGrid, spec: SpectrumSpec, profile) -> VectorField:
@@ -228,20 +226,21 @@ def _random_band(grid: TorusGrid, spec: SpectrumSpec, profile) -> VectorField:
         )
     power = spec.kind == "power-law"
     slope = -(spec.alpha + 1.5) if power else 0.0
-    idx, vals = _band_support(grid, spec.band, slope, spec.seed, (1, 2, 3))  # type: ignore[arg-type]
-    vals = _leray_modes(vals, [grid.xi_component(a).ravel()[idx[a]] for a in range(3)], grid.xi_sq[idx])
+    support, vals = _band_support(grid, spec.band, slope, spec.seed, (1, 2, 3))  # type: ignore[arg-type]
+    xi = [grid.xi_component(a).ravel()[i] for a, i in enumerate(np.unravel_index(support, (grid.n,) * 3))]
+    vals = _leray_modes(vals, xi, np.take(grid.xi_sq, support))
     targets = {k: spec.amplitude * math.ldexp(1.0, k) ** (-spec.alpha) if power else spec.amplitude
                for k in range(k_lo, k_hi + 1)}
     # band-target sweeps: a radial correction, which keeps the field solenoidal,
     # blends the per-band ratios through the squared partition weights
-    w2 = {k: dyadic._multiplier(grid, k, k + 1, profile)[idx] ** 2 for k in targets}
+    w2 = {k: dyadic._multiplier(grid, k, k + 1, profile, support) ** 2 for k in targets}
     energy = np.zeros((grid.n,) * 3)  # zero off the support, summed in cube order
     for _ in range(3):
         num = den = 0.0
         for k, t in targets.items():
             total = 0.0
             for v in vals:
-                energy[idx] = w2[k] * (v.real**2 + v.imag**2)
+                energy.reshape(-1)[support] = w2[k] * (v.real**2 + v.imag**2)
                 total += float(np.sum(energy))
             m = math.sqrt(total * grid.spectral_cell)
             if m == 0.0:
@@ -250,10 +249,8 @@ def _random_band(grid: TorusGrid, spec: SpectrumSpec, profile) -> VectorField:
             den = den + w2[k]
         corr = np.where(den > 0, num / np.maximum(den, 1e-300), 1.0)
         vals = [v * corr for v in vals]
-    cubes = [np.zeros((grid.n,) * 3, dtype=np.complex128) for _ in vals]
-    for c, v in zip(cubes, vals):
-        c[idx] = v
-    return VectorField(tuple(SpectralField(grid, c) for c in cubes), div_free=True)  # type: ignore[arg-type]
+    comps = (SpectralField.on_support(grid, support, v) for v in vals)
+    return VectorField(tuple(comps), div_free=True)  # type: ignore[arg-type]
 
 
 def _band_support(
@@ -263,19 +260,24 @@ def _band_support(
     seed: int,
     salts: tuple[int, ...],
     amplitude: float = 1.0,
-) -> tuple[tuple[np.ndarray, ...], list[np.ndarray]]:
-    """The modes ``idx`` of the closed annulus [2^band[0], 2^band[1]] and, per
-    salt, the values ``amplitude |xi|^slope exp(i sign theta)`` on them.
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The ascending flat indices of the closed annulus [2^band[0], 2^band[1]]
+    and, per salt, the values ``amplitude |xi|^slope exp(i sign theta)`` there.
 
-    Only the modes of the annulus are signed, hashed and phased; each value
-    is a function of its own mode, so it equals a full-cube evaluation.
+    The annulus is found inside its bounding box of axis modes, and only its
+    modes are signed, hashed and phased; each value is a function of its own
+    mode, so it equals a full-cube evaluation.
     """
-    r = grid.xi_abs
-    lo, hi = math.ldexp(1.0, band[0]), math.ldexp(1.0, band[1])
-    idx = np.nonzero((r >= lo) & (r <= hi))
-    w = amplitude * r[idx] ** slope
     m = grid.modes
-    mx, my, mz = m[idx[0]], m[idx[1]], m[idx[2]]
+    lo, hi = math.ldexp(1.0, band[0]), math.ldexp(1.0, band[1])
+    ax = np.flatnonzero(np.abs(m) * grid.xi_min <= hi)
+    r = grid.xi_abs
+    for axis in range(3):
+        r = np.take(r, ax, axis=axis)
+    local = np.flatnonzero((r >= lo) & (r <= hi))
+    i, j, k = (ax[a] for a in np.unravel_index(local, r.shape))
+    w = amplitude * np.take(r, local) ** slope
+    mx, my, mz = m[i], m[j], m[k]
     sign = _canonical_sign(mx, my, mz)
     # canonical triple: the lexicographically positive representative
     canon = sign > 0
@@ -286,7 +288,7 @@ def _band_support(
     for salt in salts:
         theta = 2.0 * math.pi * _mode_uniform(seed, kx, ky, kz, salt=salt)
         vals.append(w * np.exp(1j * sign * theta))
-    return idx, vals
+    return (i * grid.n + j) * grid.n + k, vals
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import dyadic
 from .errors import FieldError
-from .spectral import SpectralField, VectorField, _xi_power
+from .spectral import SpectralField, VectorField, _cube_sum, _take, _xi_power
 
 __all__ = [
     "NormReport",
@@ -72,23 +72,26 @@ def lp_norm(u: SpectralField | VectorField, p: float) -> float:
     return float(np.sum(mag**p) * dV) ** (1.0 / p)
 
 
-def _spectral_weighted_sq(u: SpectralField | VectorField, weight: np.ndarray) -> float:
+def _spectral_weighted_sq(u: SpectralField | VectorField, weight) -> float:
+    """Sum of weight * |u_hat|^2 over each component's ``active`` set, where
+    ``weight(grid, at)`` is the weight there, times the spectral cell."""
     comps = _components(u)
     g = comps[0].grid
     total = 0.0
     for c in comps:
-        total += float(np.sum(weight * (c.coeffs.real**2 + c.coeffs.imag**2)))
+        at, v = c.active, c.values
+        total += _cube_sum(g, at, weight(g, at) * (v.real**2 + v.imag**2))
     return total * g.spectral_cell
 
 
 def dirichlet(u: VectorField | SpectralField) -> float:
     """Dirichlet integral: the squared L^2 norm of the full gradient."""
-    return _spectral_weighted_sq(u, u.grid.xi_sq)
+    return _spectral_weighted_sq(u, lambda g, at: _take(g.xi_sq, at))
 
 
 def fractional_dirichlet(u: VectorField | SpectralField, s: float) -> float:
     """integral of |(-Delta)^(s/2) u|^2, via the |xi|^(2s) Plancherel weight."""
-    return _spectral_weighted_sq(u, _xi_power(u.grid, 2.0 * float(s)))
+    return _spectral_weighted_sq(u, lambda g, at: _xi_power(g, 2.0 * float(s), at))
 
 
 def sobolev_norm(
@@ -117,13 +120,10 @@ def sobolev_norm(
 
 
 def _block_l2(u: SpectralField | VectorField, k: int, profile) -> float:
-    comps = _components(u)
-    g = comps[0].grid
-    mult = dyadic._multiplier(g, k, k + 1, profile)
-    total = 0.0
-    for c in comps:
-        total += float(np.sum((mult**2) * (c.coeffs.real**2 + c.coeffs.imag**2)))
-    return math.sqrt(total * g.spectral_cell)
+    def weight(g, at):
+        return dyadic._multiplier(g, k, k + 1, profile, at) ** 2
+
+    return math.sqrt(_spectral_weighted_sq(u, weight))
 
 
 def block_l2_profile(

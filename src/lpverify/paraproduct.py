@@ -53,10 +53,9 @@ class BonySplit:
 
 
 def _check_guarded(u: SpectralField, window: DyadicWindow, guard: int, name: str) -> None:
-    nz = u.coeffs != 0
-    if not nz.any():
+    radii = u.nonzero_radii()
+    if not radii.size:
         return
-    radii = u.grid.xi_abs[nz]
     lo = math.ldexp(1.0, window.k_min + guard)
     hi = math.ldexp(1.0, window.k_max - guard)
     if radii.min() < lo or radii.max() > hi:

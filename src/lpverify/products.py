@@ -24,6 +24,7 @@ from .spectral import (
     SpectralField,
     TorusGrid,
     VectorField,
+    _scan_support,
     fft_workers,
     gradient,
     transform_forward,
@@ -77,11 +78,27 @@ def restrict_to(samples: np.ndarray, eval_grid: TorusGrid, out: TorusGrid) -> Sp
     """Forward-transform on the evaluation grid, keep the modes ``out`` resolves.
 
     The unpaired Nyquist planes of both grids are left out, so the result
-    is a clean calculus-band field on ``out``.
+    is a clean calculus-band field on ``out``.  From a coarser evaluation
+    grid the kept modes are scanned there, so the result knows its support
+    without a scan of the larger ``out`` cube.
     """
+    ax = _common_axis(eval_grid, out)
     f = transform_forward(eval_grid, samples)
+    e = eval_grid.n
+    if e < out.n:  # every mode of the evaluation grid but its Nyquist planes is kept
+        kept = f.coeffs != 0
+        for axis in range(3):
+            kept[(slice(None),) * axis + (e // 2,)] = False
+        local = _scan_support(kept)
+        lift = np.arange(e)
+        lift[e // 2 + 1 :] += out.n - e
+        i, j, k = (lift[a] for a in np.unravel_index(local, kept.shape))
+        return SpectralField.on_support(
+            out, (i * out.n + j) * out.n + k, np.take(f.coeffs, local),
+            real_valued=True, mean_zero=bool(f.coeffs[0, 0, 0] == 0),
+        )
     coeffs = np.zeros((out.n,) * 3, dtype=np.complex128)
-    for octant in itertools.product(_common_axis(eval_grid, out), repeat=3):
+    for octant in itertools.product(ax, repeat=3):
         coeffs[octant] = f.coeffs[octant]
     return SpectralField(out, coeffs, real_valued=True, mean_zero=bool(coeffs[0, 0, 0] == 0))
 

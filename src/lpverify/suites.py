@@ -290,12 +290,24 @@ def _suite_core(cfg: SuiteConfig) -> SuiteResult:
     checks.append(_check("pressure-analytic", "pressure-poisson", perr, 3.0 / 16.0, cfg.tol("pressure")))
 
     ub = _window_field(g, cfg.seed + 1)
-    Pb = products.pressure_from_velocity(ub)
+    # one pass over the stress products feeds the pressure (pairs i <= j) and
+    # the residual sum in row-major (i, j) order, the product commuting bit
+    # for bit; a product is held only until its last use, since holding all
+    # six raised the suite's peak memory
     acc = np.zeros((g.n,) * 3, dtype=complex)
-    for i in range(3):
-        for j in range(3):
-            t = products.product(ub.components[i], ub.components[j])
-            acc += (1j * g.xi_component(i)) * (1j * g.xi_component(j)) * t.coeffs
+    held: dict = {}
+    todo = [(i, j) for i in range(3) for j in range(3)]
+
+    def stress():
+        for key, t in products._stress(ub):
+            yield key, t
+            held[key] = t
+            while todo and (min(todo[0]), max(todo[0])) in held:
+                i, j = todo.pop(0)
+                t = held.pop((j, i)) if j <= i else held[i, j]
+                np.add(acc, (1j * g.xi_component(i)) * (1j * g.xi_component(j)) * t.coeffs, out=acc)
+
+    Pb = products._pressure(g, stress())
     resid = float(np.max(np.abs(fractional_laplacian(Pb, 1.0).coeffs - acc)))
     pressure_scale = norms.lp_norm(ub, math.inf) ** 2 * float(g.xi_abs.max()) ** 2
     checks.append(_check("pressure-residual", "pressure-poisson", resid, pressure_scale, cfg.tol("pressure")))

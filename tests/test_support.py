@@ -1,0 +1,261 @@
+"""Every field's support is its exact nonzero set, and every coefficient
+kernel that runs on the support equals its full-cube expression.
+
+The oracles below are the literal full-cube expressions the kernels had
+before they moved onto the support.  Equality is ``==`` (``np.array_equal``
+for arrays): the one raw-bit difference allowed is +0.0 where a cube
+product stored -0.0 off the support, and the two compare equal.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from lpverify import TorusGrid, VectorField, dyadic, forge, norms, products, spectral
+from lpverify.dyadic import DEFAULT_PROFILE, DyadicWindow, _multiplier
+from lpverify.snapshot import snapshot_read, snapshot_write
+from lpverify.spectral import TWO_PI, SpectralField
+
+
+def _components(u):
+    return [u] if isinstance(u, SpectralField) else list(u.components)
+
+
+def _assert_exact_support(u):
+    for c in _components(u):
+        assert np.array_equal(c.support, np.flatnonzero(c.coeffs))
+
+
+# -- full-cube oracles ---------------------------------------------------------
+
+
+def _cube_max_abs(c):
+    return float(np.max(np.abs(c.coeffs))) if c.coeffs.size else 0.0
+
+
+def _cube_band_axis(c):
+    nz = c.coeffs != 0
+    if not nz.any():
+        return 0
+    m = np.abs(c.grid.modes)
+    out = 0
+    for axis in range(3):
+        proj = nz.any(axis=tuple(a for a in range(3) if a != axis))
+        out = max(out, int(m[proj].max()))
+    return out
+
+
+def _cube_band_radius(c):
+    nz = c.coeffs != 0
+    if not nz.any():
+        return 0.0
+    return float(c.grid.xi_abs[nz].max())
+
+
+def _cube_weighted_sq(u, weight):
+    total = 0.0
+    for c in _components(u):
+        total += float(np.sum(weight * (c.coeffs.real**2 + c.coeffs.imag**2)))
+    return total * u.grid.spectral_cell
+
+
+def _cube_xi_power(grid, power):
+    with np.errstate(divide="ignore"):
+        w = grid.xi_sq ** (power / 2.0)
+    w[0, 0, 0] = 0.0
+    return w
+
+
+def _cube_block_l2(u, k):
+    mult = _multiplier(u.grid, k, k + 1, DEFAULT_PROFILE)
+    return math.sqrt(_cube_weighted_sq(u, mult**2))
+
+
+def _cube_annulus_audit(p, l):
+    lo = math.ldexp(1.0, l - 2)
+    hi = 1.125 * math.ldexp(1.0, l + 1)
+    inside = (p.grid.xi_abs >= lo) & (p.grid.xi_abs < hi)
+    mag = np.abs(p.coeffs)
+    max_in = float(np.max(mag, where=inside, initial=0.0))
+    return lo, hi, max_in, float(np.max(mag, where=~inside, initial=0.0))
+
+
+def _cube_band(c, bands):
+    sym = None
+    for a, b in bands:
+        m = _multiplier(c.grid, a, b, DEFAULT_PROFILE)
+        sym = m if sym is None else sym * m
+    return c.coeffs * sym
+
+
+def _cube_tilde_block(c, l):
+    acc = c.coeffs * _multiplier(c.grid, l - 2, l - 1, DEFAULT_PROFILE)
+    for lp in range(l - 1, l + 3):
+        acc += _multiplier(c.grid, lp, lp + 1, DEFAULT_PROFILE) * c.coeffs
+    return acc
+
+
+def _assert_kernels_match_cube(u):
+    _assert_exact_support(u)
+    g = u.grid
+    for c in _components(u):
+        assert c.max_abs_coeff() == _cube_max_abs(c)
+        assert c.band_axis == _cube_band_axis(c)
+        assert c.band_radius() == _cube_band_radius(c)
+    assert norms.dirichlet(u) == _cube_weighted_sq(u, g.xi_sq)
+    for s in (0.5, 5.0 / 6.0, 1.0, 1.5, -0.5):
+        assert norms.fractional_dirichlet(u, s) == _cube_weighted_sq(u, _cube_xi_power(g, 2.0 * s))
+    window = DyadicWindow.for_grid(g)
+    for k in window.indices():
+        assert norms._block_l2(u, k, DEFAULT_PROFILE) == _cube_block_l2(u, k)
+        for c in _components(u):
+            assert dyadic.annulus_audit(c, k) == _cube_annulus_audit(c, k)
+
+
+def _window_band(grid):
+    w = DyadicWindow.for_grid(grid)
+    return (w.k_min, w.k_max)
+
+
+def _all_filters(grid):
+    w = DyadicWindow.for_grid(grid)
+    out = []
+    for k in range(w.k_min - 1, w.k_max + 3):
+        out += [((k, k + 1),), ((-math.inf, k),), ((k, math.inf),), ((k - 2, k + 3),)]
+        out += [((k, k + 1), (k - 1, math.inf)), ((-math.inf, k), (k - 2, k + 1))]
+    return out
+
+
+# -- construction paths --------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128])
+def test_forge_bands_carry_exact_support(n):
+    g = TorusGrid(n, TWO_PI)
+    for band in (_window_band(g), (1, 1), (2, 2)):
+        f = forge.scalar_band(g, 3, band, alpha=0.5)
+        assert "support" in f.__dict__
+        _assert_exact_support(f)
+        for kind in ("white-band", "power-law"):
+            u = forge.generate(g, forge.SpectrumSpec(kind, seed=4, band=band))
+            assert all("support" in c.__dict__ for c in u.components)
+            _assert_exact_support(u)
+    _assert_exact_support(forge.scalar_band(g, 3, (1, 1), amplitude=0.0))
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_filters_keep_exact_support_and_match_cube(n):
+    g = TorusGrid(n, TWO_PI)
+    u = forge.generate(g, forge.SpectrumSpec("white-band", seed=1, band=_window_band(g)))
+    f = forge.scalar_band(g, 2, (2, 2))
+    w = DyadicWindow.for_grid(g)
+    for field in (*u.components, f):
+        for bands in _all_filters(g):
+            out = dyadic.band(field, bands)
+            _assert_exact_support(out)
+            assert np.array_equal(out.coeffs, _cube_band(field, bands))
+        for k in range(w.k_min - 1, w.k_max + 3):
+            for op in (dyadic.block, dyadic.lowpass, dyadic.tail):
+                _assert_exact_support(op(field, k))
+            t = dyadic.tilde_block(field, k)
+            _assert_exact_support(t)
+            assert np.array_equal(t.coeffs, _cube_tilde_block(field, k))
+    # filters that leave nothing
+    assert dyadic.block(f, w.k_max + 2).support.size == 0
+    assert dyadic.lowpass(f, w.k_min - 2).support.size == 0
+
+
+def test_sums_and_differences_drop_cancelled_modes(grid32):
+    u = forge.generate(grid32, forge.SpectrumSpec("white-band", seed=6, band=(0, 3)))
+    c = u.components[0]
+    lo, hi = dyadic.lowpass(c, 1), dyadic.tail(c, 3)
+    for field in (c - c, (lo + hi) - hi, c - dyadic.block(c, 2), lo + hi, 0.0 * c, c * 2.5, -1.0 * c + c):
+        _assert_exact_support(field)
+    assert (c - c).support.size == 0
+    assert np.array_equal(((lo + hi) - hi).support, lo.support)
+    # modes where the block symbol is exactly 1 cancel
+    d = c - dyadic.block(c, 2)
+    assert d.support.size < c.support.size
+    _assert_kernels_match_cube(u - dyadic.band(u, ((1, 3),)))
+    # small supports are merged index by index
+    f, h = (forge.scalar_band(grid32, 4, (1, 2), salt=s) for s in (1, 2))
+    assert isinstance(spectral._union(f.active, h.active, f.coeffs.size), np.ndarray)
+    for field in (f - f, (f + h) - h, f + dyadic.block(h, 1), f - dyadic.block(f, 1), -1.0 * f + f):
+        assert "support" in field.__dict__
+        _assert_kernels_match_cube(field)
+    assert np.array_equal(((f + h) - h).coeffs, (f.coeffs + h.coeffs) - h.coeffs)
+
+
+def _eval_n(f, h):
+    band_sum = f.band_axis + h.band_axis
+    return products._eval_grid_for(f.grid, band_sum, min(f.grid.n // 2 - 1, band_sum)).n
+
+
+def test_products_on_coarser_equal_and_doubled_grids():
+    g64, g32, g16 = (TorusGrid(n, TWO_PI) for n in (64, 32, 16))
+    coarse = [forge.scalar_band(g64, s, (1, 1)) for s in (1, 2)]
+    equal = forge.generate(g32, forge.SpectrumSpec("white-band", seed=2, band=(0, 3))).components[:2]
+    rng = np.random.default_rng(7)
+    doubled = [dyadic.lowpass(spectral.transform_forward(g16, rng.standard_normal((16,) * 3)), 3) for _ in "ab"]
+    for (f, h), eval_n in ((coarse, 16), (equal, 32), (doubled, 32)):
+        assert _eval_n(f, h) == eval_n
+        p = products.product(f, h)
+        _assert_kernels_match_cube(p)
+        if eval_n < p.grid.n:
+            assert "support" in p.__dict__
+
+
+def test_zeros_and_snapshots(tmp_path, grid32):
+    z = SpectralField.zeros(grid32)
+    assert z.support.size == 0
+    _assert_kernels_match_cube(z)
+    _assert_kernels_match_cube(VectorField.zeros(grid32))
+    u = forge.generate(grid32, forge.SpectrumSpec("power-law", seed=3, band=(1, 3)))
+    snapshot_write(u, tmp_path / "u.lpf")
+    v = snapshot_read(tmp_path / "u.lpf")
+    _assert_kernels_match_cube(v)
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_kernels_match_full_cube(n):
+    g = TorusGrid(n, TWO_PI)
+    rng = np.random.default_rng(n)
+    u = forge.generate(g, forge.SpectrumSpec("white-band", seed=8, band=_window_band(g)))
+    _assert_kernels_match_cube(u)
+    _assert_kernels_match_cube(forge.scalar_band(g, 5, (1, 2)))
+    _assert_kernels_match_cube(dyadic.tail(u, 2))
+    # a transform's output, and the same cube with its support known: both
+    # are visited as the whole cube (the support covers more than 1/8)
+    dense = spectral.transform_forward(g, rng.standard_normal((n,) * 3))
+    known = SpectralField.on_support(g, np.flatnonzero(dense.coeffs), dense.coeffs.ravel()[dense.support])
+    assert isinstance(known.active, slice)
+    for c in (dense, known):
+        _assert_kernels_match_cube(c)
+        _assert_exact_support(dyadic.band(c, ((1, 3),)))
+
+
+def test_criterion_four_pair_never_scans_a_fine_cube(monkeypatch):
+    """One criterion-4 pair at n=128 runs on the supports: no scan over 128^3."""
+    g = TorusGrid(128, TWO_PI)
+    scanned = []
+    real_scan = spectral._scan_support
+
+    def spy(coeffs):
+        scanned.append(coeffs.size)
+        return real_scan(coeffs)
+
+    for mod in (spectral, products):
+        monkeypatch.setattr(mod, "_scan_support", spy)
+    f = forge.scalar_band(g, 1003, (2, 2), salt=1)
+    h = forge.scalar_band(g, 1003, (2, 2), salt=2)
+    fg = products.product(f, h)
+    pairs = [(x, t) for s in (0.55, 5.0 / 6.0) for x, t in ((fg, 2.0 * s - 1.5), (f, s), (h, s))]
+    values = [norms.sobolev_norm(x, t) for x, t in pairs]
+    assert scanned and max(scanned) < g.n**3  # the product's scan ran on its coarse grid
+    for x in (f, h, fg):
+        assert isinstance(x.active, np.ndarray)
+    monkeypatch.undo()
+    for x in (f, h, fg):
+        _assert_exact_support(x)
+    assert values == [math.sqrt(_cube_weighted_sq(x, _cube_xi_power(g, 2.0 * t))) for x, t in pairs]
