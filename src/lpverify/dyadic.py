@@ -7,7 +7,9 @@ phi(r) = psi(r/2) - psi(r) is nonnegative with support in the open
 annulus (1/2, 2) and phi(1) = 1.  Plateau and exterior values are taken
 through exact branches, which makes every support statement about block
 operators hold bit-exactly on the lattice: coefficients outside a block's
-annulus are stored zeros, not small numbers.
+annulus are stored zeros, not small numbers.  One profile is fixed, the
+exp-step of sharpness 1 (``DEFAULT_PROFILE``): it is named only in
+``_multiplier`` and reported by its fingerprint.
 
 Telescoping is structural: sum_{k=a..b} phi(2^-k r) collapses to
 psi(2^-(b+1) r) - psi(2^-a r), so partitions of unity and the identity
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FieldError, WindowError
-from .spectral import SpectralField, TorusGrid, _take
+from .spectral import SpectralField, TorusGrid, _take, gradient
 
 _CACHE_BYTES_CAP = 512 * 1024 * 1024
 
@@ -131,9 +133,6 @@ class DyadicWindow:
             )
         return DyadicWindow(self.k_min + guard, self.k_max - guard)
 
-    def band_limits(self) -> tuple[float, float]:
-        return math.ldexp(1.0, self.k_min), math.ldexp(1.0, self.k_max)
-
 
 def _floor_log2(x: float) -> int:
     m, e = math.frexp(x)
@@ -168,7 +167,7 @@ def _multiplier(grid: TorusGrid, a: float, b: float, profile: DyadicProfile, at=
     return arr if at is None else _take(arr, at)
 
 
-def band(u, bands, profile: DyadicProfile = DEFAULT_PROFILE):
+def band(u, bands):
     """u (scalar or vector field) times the product of the symbols of ``bands``.
 
     The product symbol is evaluated at each component's ``active`` set
@@ -179,34 +178,34 @@ def band(u, bands, profile: DyadicProfile = DEFAULT_PROFILE):
     def apply(c: SpectralField) -> SpectralField:
         sym = None
         for a, b in bands:
-            m = _multiplier(c.grid, a, b, profile, c.active)
+            m = _multiplier(c.grid, a, b, DEFAULT_PROFILE, c.active)
             sym = m if sym is None else sym * m
         return c.apply_multiplier(sym)
 
     return apply(u) if isinstance(u, SpectralField) else u.map(apply)
 
 
-def block(u, k: int, profile: DyadicProfile = DEFAULT_PROFILE):
+def block(u, k: int):
     """Dyadic band filter at level k (annulus 2^(k-1) <= |xi| <= 2^(k+1))."""
-    return band(u, ((k, k + 1),), profile)
+    return band(u, ((k, k + 1),))
 
 
-def lowpass(u, k: int, profile: DyadicProfile = DEFAULT_PROFILE):
+def lowpass(u, k: int):
     """Smooth low-pass keeping |xi| < 2^k."""
-    return band(u, ((-math.inf, k),), profile)
+    return band(u, ((-math.inf, k),))
 
 
-def tail(u, k: int, profile: DyadicProfile = DEFAULT_PROFILE):
+def tail(u, k: int):
     """High-frequency part, the symbol 1 - psi_k; complementary to lowpass(u, k)."""
-    return band(u, ((k, math.inf),), profile)
+    return band(u, ((k, math.inf),))
 
 
-def tilde_block(u: SpectralField, l: int, profile: DyadicProfile = DEFAULT_PROFILE) -> SpectralField:
+def tilde_block(u: SpectralField, l: int) -> SpectralField:
     """Five-block neighbourhood sum over levels l-2 .. l+2."""
     at, c = u.active, u.values
-    acc = c * _multiplier(u.grid, l - 2, l - 1, profile, at)
+    acc = c * _multiplier(u.grid, l - 2, l - 1, DEFAULT_PROFILE, at)
     for lp in range(l - 1, l + 3):
-        acc += _multiplier(u.grid, lp, lp + 1, profile, at) * c
+        acc += _multiplier(u.grid, lp, lp + 1, DEFAULT_PROFILE, at) * c
     return u.with_values(acc)
 
 
@@ -232,7 +231,6 @@ def annulus_audit(p: SpectralField, l: int) -> tuple[float, float, float, float]
 @dataclass(frozen=True)
 class BernsteinReport:
     k: int
-    region: str
     p: float
     q: float
     norm_p: float
@@ -246,45 +244,30 @@ class BernsteinReport:
     support_max: float
 
 
-def bernstein_check(
-    u: SpectralField, p: float, q: float, k: int, region: str = "annulus"
-) -> BernsteinReport:
+def bernstein_check(u: SpectralField, p: float, q: float, k: int) -> BernsteinReport:
     """Measure band-limited norm ratios against the 2^k scaling laws.
 
-    ``region`` states the claimed spectral support ('annulus' for
-    2^(k-1) <= |xi| <= 2^(k+1), 'ball' for |xi| <= 2^k); containment is
-    verified on the exact nonzero-coefficient set.  For p = q = 2 the
-    two-sided gradient bound with the lattice constants min|xi|, max|xi|
-    over the support is checked exactly.
+    The spectral support must lie in the annulus 2^(k-1) <= |xi| <= 2^(k+1);
+    containment is verified on the exact nonzero-coefficient set.  For
+    p = q = 2 the two-sided gradient bound with the lattice constants
+    min|xi|, max|xi| over the support is checked exactly.
     """
+    from . import norms
+
     if q < p:
         raise FieldError("Bernstein ratios require q >= p")
-    g = u.grid
-    nz = u.coeffs != 0
-    if not nz.any():
+    radii = u.nonzero_radii()
+    if not radii.size:
         raise FieldError("zero field has no Bernstein scale")
-    radii = g.xi_abs[nz]
     rmin, rmax = float(radii.min()), float(radii.max())
-    lo, hi = math.ldexp(1.0, k - 1), math.ldexp(1.0, k + 1)
-    if region == "annulus":
-        ok = lo <= rmin and rmax <= hi
-    elif region == "ball":
-        ok = rmax <= math.ldexp(1.0, k)
-    else:
-        raise FieldError(f"unknown support region {region!r}")
-    if not ok:
+    if not (math.ldexp(1.0, k - 1) <= rmin and rmax <= math.ldexp(1.0, k + 1)):
         raise FieldError(
-            f"support [{rmin:.3g}, {rmax:.3g}] not contained in claimed {region} at k={k}"
+            f"support [{rmin:.3g}, {rmax:.3g}] not contained in claimed annulus at k={k}"
         )
 
-    dV = g.cell_volume
-    samples = u.samples()
-    if not u.real_valued:
-        samples = samples.real
-    norm_p = _phys_lp(samples, p, dV)
-    norm_q = _phys_lp(samples, q, dV)
-    grad_samples = _grad_magnitude(u)
-    grad_norm_q = _phys_lp(grad_samples, q, dV)
+    norm_p = norms.lp_norm(u, p)
+    norm_q = norm_p if q == p else norms.lp_norm(u, q)
+    grad_norm_q = norms.lp_norm(gradient(u), q)
 
     lam = math.ldexp(1.0, k)
     ratio_plain = norm_q / (lam ** (3.0 / p - 3.0 / q) * norm_p) if norm_p else math.nan
@@ -294,14 +277,13 @@ def bernstein_check(
 
     # exact two-sided L^2 bound from the support radii
     l2 = u.l2()
-    grad_l2 = math.sqrt(float(np.sum(g.xi_sq[nz] * np.abs(u.coeffs[nz]) ** 2)) * g.spectral_cell)
+    grad_l2 = math.sqrt(norms.dirichlet(u))
     slack = 1e-12 * max(l2 * rmax, 1.0e-300)
     lower_ok = rmin * l2 <= grad_l2 + slack
     upper_ok = grad_l2 <= rmax * l2 + slack
 
     return BernsteinReport(
         k=k,
-        region=region,
         p=p,
         q=q,
         norm_p=norm_p,
@@ -314,22 +296,3 @@ def bernstein_check(
         support_min=rmin,
         support_max=rmax,
     )
-
-
-def _phys_lp(samples: np.ndarray, p: float, dV: float) -> float:
-    if math.isinf(p):
-        return float(np.max(np.abs(samples)))
-    return float(np.sum(np.abs(samples) ** p) * dV) ** (1.0 / p)
-
-
-def _grad_magnitude(u: SpectralField) -> np.ndarray:
-    from .spectral import gradient
-
-    g = gradient(u)
-    acc = np.zeros((u.grid.n,) * 3)
-    for c in g.components:
-        s = c.samples()
-        if not c.real_valued:
-            s = s.real
-        acc += s * s
-    return np.sqrt(acc)

@@ -123,17 +123,13 @@ def _canonical_sign(mx, my, mz) -> np.ndarray:
 # painters
 
 
-def generate(
-    grid: TorusGrid,
-    spec: SpectrumSpec,
-    profile: dyadic.DyadicProfile = dyadic.DEFAULT_PROFILE,
-) -> VectorField:
+def generate(grid: TorusGrid, spec: SpectrumSpec) -> VectorField:
     """Realize a spec as a mean-zero, divergence-free spectral field."""
     if spec.kind == "single-mode":
         return _single_mode(grid, spec)
     if spec.kind == "taylor-green":
         return taylor_green(grid, spec.amplitude)
-    return _random_band(grid, spec, profile)
+    return _random_band(grid, spec)
 
 
 def _paint(grid: TorusGrid, entries: dict[tuple[int, int, int], complex]) -> np.ndarray:
@@ -216,7 +212,7 @@ def scalar_band(
     return SpectralField.on_support(grid, support, vals)
 
 
-def _random_band(grid: TorusGrid, spec: SpectrumSpec, profile) -> VectorField:
+def _random_band(grid: TorusGrid, spec: SpectrumSpec) -> VectorField:
     k_lo, k_hi = spec.band  # type: ignore[misc]
     window = dyadic.DyadicWindow.for_grid(grid)
     if k_lo < window.k_min or k_hi > window.k_max:
@@ -233,7 +229,7 @@ def _random_band(grid: TorusGrid, spec: SpectrumSpec, profile) -> VectorField:
                for k in range(k_lo, k_hi + 1)}
     # band-target sweeps: a radial correction, which keeps the field solenoidal,
     # blends the per-band ratios through the squared partition weights
-    w2 = {k: dyadic._multiplier(grid, k, k + 1, profile, support) ** 2 for k in targets}
+    w2 = {k: dyadic._multiplier(grid, k, k + 1, dyadic.DEFAULT_PROFILE, support) ** 2 for k in targets}
     energy = np.zeros((grid.n,) * 3)  # zero off the support, summed in cube order
     for _ in range(3):
         num = den = 0.0

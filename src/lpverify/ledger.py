@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import dyadic, norms, products
-from .dyadic import DEFAULT_PROFILE, DyadicProfile, DyadicWindow
+from .dyadic import DyadicWindow
 from .errors import FieldError, WindowError
 from .spectral import SpectralField, VectorField, _xi_power, gradient
 
@@ -145,10 +145,9 @@ class _Workspace:
     rebuilt on demand (multiplier work is cheap next to transforms).
     """
 
-    def __init__(self, u: VectorField, k: int, profile: DyadicProfile):
+    def __init__(self, u: VectorField, k: int):
         self.u = u
         self.k = k
-        self.profile = profile
         self.grid = u.grid
         self.window = DyadicWindow.for_grid(self.grid)
         r = max(c.band_radius() for c in u.components)
@@ -193,7 +192,7 @@ class _Workspace:
             return self.u
         out = self._fields.get(filt)
         if out is None:
-            out = dyadic.band(self.u, filt, self.profile)
+            out = dyadic.band(self.u, filt)
             # single bands are kept; products of bands are cheap to rebuild
             # and would dominate the footprint
             if len(filt) == 1:
@@ -287,12 +286,7 @@ def _vanishing_terms(ws: _Workspace) -> tuple[float, float, float]:
     return i11, i21, i22
 
 
-def ledger_classical(
-    u: VectorField,
-    k: int,
-    theta=Fraction(1, 2),
-    profile: DyadicProfile = DEFAULT_PROFILE,
-) -> TrilinearLedger:
+def ledger_classical(u: VectorField, k: int, theta=Fraction(1, 2)) -> TrilinearLedger:
     """Every named term of the level-k trilinear decomposition.
 
     Requires u mean-zero, divergence-free, band-limited inside the grid
@@ -303,7 +297,7 @@ def ledger_classical(
         raise FieldError(f"theta must lie in (0, 1), got {theta}")
     if not u.div_free:
         raise FieldError("ledger_classical expects a certified divergence-free field")
-    ws = _Workspace(u, k, profile)
+    ws = _Workspace(u, k)
     terms: dict[str, float] = {}
 
     terms["I1"] = ws.tri(ws.low, ws.low, ws.tail)
@@ -334,12 +328,7 @@ def ledger_classical(
 # fractional paths
 
 
-def ledger_fractional_low(
-    u: VectorField,
-    k: int,
-    s,
-    profile: DyadicProfile = DEFAULT_PROFILE,
-) -> TrilinearLedger:
+def ledger_fractional_low(u: VectorField, k: int, s) -> TrilinearLedger:
     """Low-frequency localization ledger for 5/6 <= s < 1.
 
     The decomposition itself never references s, so the terms coincide
@@ -351,7 +340,7 @@ def ledger_fractional_low(
     sf = as_fraction(s)
     if not (Fraction(5, 6) <= sf < 1):
         raise FieldError(f"fractional-low path needs 5/6 <= s < 1, got {sf}")
-    base = ledger_classical(u, k, theta=Fraction(1, 2), profile=profile)
+    base = ledger_classical(u, k, theta=Fraction(1, 2))
     sv = float(sf)
     sigma = 2.0 * sv - 1.5
     certs: dict[str, float] = {}
@@ -360,7 +349,7 @@ def ledger_fractional_low(
     for _, t in stress:
         stress_max = max(stress_max, norms.sobolev_norm(t, sigma))
     certs["stress_sobolev_max"] = stress_max
-    certs["tail_grad_negative_order"] = _tail_grad_norm(u, k, 1.5 - 2.0 * sv, profile)
+    certs["tail_grad_negative_order"] = _tail_grad_norm(u, k, 1.5 - 2.0 * sv)
     pressure = products._pressure(u.grid, stress)
     certs["pressure_sobolev"] = norms.sobolev_norm(pressure, sigma)
     certs["hs_norm"] = norms.sobolev_norm(u, sv)
@@ -370,12 +359,12 @@ def ledger_fractional_low(
     )
 
 
-def _tail_grad_norm(u: VectorField, k: int, order: float, profile) -> float:
+def _tail_grad_norm(u: VectorField, k: int, order: float) -> float:
     """Block-sum norm of grad(tail) at the given regularity, levels >= k."""
     window = DyadicWindow.for_grid(u.grid)
     total = 0.0
     for l in range(k, window.k_max + 2):
-        b = dyadic.band(u, ((l, l + 1), (k, math.inf)), profile)
+        b = dyadic.band(u, ((l, l + 1), (k, math.inf)))
         gsq = 0.0
         for c in b.components:
             gsq += norms.dirichlet(c)
@@ -383,12 +372,7 @@ def _tail_grad_norm(u: VectorField, k: int, order: float, profile) -> float:
     return math.sqrt(total)
 
 
-def ledger_fractional_high(
-    u: VectorField,
-    k: int,
-    s,
-    profile: DyadicProfile = DEFAULT_PROFILE,
-) -> TrilinearLedger:
+def ledger_fractional_high(u: VectorField, k: int, s) -> TrilinearLedger:
     """High-frequency localization ledger for 1/2 <= s < 5/6.
 
     Pairs the advective form against the low-pass instead of the tail:
@@ -403,7 +387,7 @@ def ledger_fractional_high(
     theta = theta_for(sf)
     if not u.div_free:
         raise FieldError("ledger_fractional_high expects a divergence-free field")
-    ws = _Workspace(u, k, profile)
+    ws = _Workspace(u, k)
     m1 = split_index(theta, k)
     m2 = split_index(Fraction(1, 2), k)
 
@@ -431,6 +415,9 @@ def ledger_fractional_high(
 # decay series
 
 
+_BAND_WIDTH = 2.0
+
+
 @dataclass(frozen=True)
 class DecayFit:
     slope: float
@@ -439,20 +426,18 @@ class DecayFit:
     npoints: int
     slope_stderr: float = math.inf
 
-    def slope_band(self, width: float = 2.0) -> tuple[float, float]:
-        """Confidence band: slope +/- width standard errors."""
-        return self.slope - width * self.slope_stderr, self.slope + width * self.slope_stderr
+    def slope_band(self) -> tuple[float, float]:
+        """Confidence band: slope +/- _BAND_WIDTH standard errors."""
+        return self.slope - _BAND_WIDTH * self.slope_stderr, self.slope + _BAND_WIDTH * self.slope_stderr
 
 
-def fit_decay(points, fit_range: tuple[int, int] | None = None) -> DecayFit:
+def fit_decay(points) -> DecayFit:
     """Least-squares slope of log2|value| against the level index.
 
     Zero values are dropped; at least 4 usable points are required.
     """
     ks, logs = [], []
     for k, v in points:
-        if fit_range is not None and not (fit_range[0] <= k <= fit_range[1]):
-            continue
         if v != 0.0 and math.isfinite(v):
             ks.append(float(k))
             logs.append(math.log2(abs(v)))
@@ -495,22 +480,15 @@ class DecaySeries:
 _DECAY_SLACK = 0.25
 
 
-def remainder_decay(
-    u: VectorField,
-    term: str,
-    k_range,
-    theta_or_s=Fraction(1, 2),
-    profile: DyadicProfile = DEFAULT_PROFILE,
-    scale: float | None = None,
-) -> DecaySeries:
+def remainder_decay(u: VectorField, term: str, k_range, theta_or_s=Fraction(1, 2)) -> DecaySeries:
     """Measure the level dependence of a remainder/removed term.
 
     term 'I232': resonant remainder beyond [theta k]; the fitted slope is
     compared with the 3/2 - 2 theta floor (minus slack).  term
     'fractional-remainder': the same integral split at [k/2], compared
     with 5/2 - 2s.  terms 'J1_low'/'J2_low'/'J3_low': removed low parts of
-    the high-frequency path; asserted to fall below 1e-6 * scale at the
-    top of the range.
+    the high-frequency path; asserted to fall below 1e-6 * ledger_scale(u)
+    at the top of the range.
     """
     k_list = sorted(k_range)
     if not k_list:
@@ -526,7 +504,7 @@ def remainder_decay(
             predicted = 2.5 - 2.0 * float(s)
         pts = []
         for k in k_list:
-            ws = _Workspace(u, k, profile)
+            ws = _Workspace(u, k)
             pts.append((k, _split(ws.resonant_terms(ws.low), split_index(theta, k))[1]))
         fit = fit_decay(pts)
         return DecaySeries(
@@ -541,8 +519,8 @@ def remainder_decay(
         )
 
     if term in ("J1_low", "J2_low", "J3_low"):
-        leds = [ledger_fractional_high(u, k, theta_or_s, profile) for k in k_list]
-        return _removed_series(leds, term, ledger_scale(u) if scale is None else scale)
+        leds = [ledger_fractional_high(u, k, theta_or_s) for k in k_list]
+        return _removed_series(leds, term, ledger_scale(u))
 
     raise FieldError(f"unknown decay term {term!r}")
 
@@ -604,9 +582,7 @@ class SupportAuditReport:
 _AUDIT_RTOL = 1e-13
 
 
-def support_audit(
-    u: VectorField, k: int, profile: DyadicProfile = DEFAULT_PROFILE
-) -> SupportAuditReport:
+def support_audit(u: VectorField, k: int) -> SupportAuditReport:
     """Check the frequency-support containments behind the vanishing terms.
 
     For every product summand block(tail,l) * lowpass(...) feeding the
@@ -616,17 +592,12 @@ def support_audit(
     rounding level.  The gradient of the low-pass itself has bit-exact
     support inside the open ball of radius 2^k.
     """
-    ws = _Workspace(u, k, profile)
+    ws = _Workspace(u, k)
     g = u.grid
     rows: list[AuditRow] = []
-    grad_ok = True
-    ball = g.xi_abs < math.ldexp(1.0, k)
     su = ws.field(ws.low)
     grad_su = [gradient(c).components for c in su.components]
-    for comps in grad_su:
-        for gc in comps:
-            if np.any(gc.coeffs[~ball] != 0):
-                grad_ok = False
+    grad_ok = all(gc.band_radius() < math.ldexp(1.0, k) for comps in grad_su for gc in comps)
     grad_scale = math.sqrt(norms.dirichlet(su))
 
     def audit_product(term: str, l: int, a: SpectralField, b: SpectralField):
@@ -692,12 +663,7 @@ class DiagnosticsReport:
     windowed_min: dict[str, float]
 
 
-def diagnostics(
-    u: VectorField,
-    s,
-    profile: DyadicProfile = DEFAULT_PROFILE,
-    window: DyadicWindow | None = None,
-) -> DiagnosticsReport:
+def diagnostics(u: VectorField, s, window: DyadicWindow | None = None) -> DiagnosticsReport:
     """Per-level smallness quantities and the inequality chains tying them.
 
     Limit statements in k are downgraded to windowed minima and labeled
@@ -713,13 +679,13 @@ def diagnostics(
     per_k: dict[int, dict[str, float]] = {}
     for k in window.indices():
         row: dict[str, float] = {}
-        su = dyadic.lowpass(u, k, profile)
+        su = dyadic.lowpass(u, k)
         linf = norms.lp_norm(su, math.inf)
         row["lowpass_linf"] = linf
         row["classical_smallness"] = math.ldexp(1.0, -k) * linf
         row["fractional_smallness"] = math.ldexp(1.0, k) ** (1.0 - 2.0 * sv) * linf
-        row["besov_neg1_lowpass"] = norms.besov_infty_norm(su, -1.0, window, profile)
-        row["besov_frac_lowpass"] = norms.besov_infty_norm(su, 1.0 - 2.0 * sv, window, profile)
+        row["besov_neg1_lowpass"] = norms.besov_infty_norm(su, -1.0, window)
+        row["besov_frac_lowpass"] = norms.besov_infty_norm(su, 1.0 - 2.0 * sv, window)
         row["fourier_l32_ball"] = norms.spectral_lr_ball(u, 1.5, math.ldexp(1.0, k))
         row["fourier_lr_ball"] = norms.spectral_lr_ball(
             u, 3.0 / (4.0 - 2.0 * sv), math.ldexp(1.0, k)
@@ -730,16 +696,12 @@ def diagnostics(
             w = math.ldexp(1.0, k) ** (1.0 - 2.0 * sv)
             # sup norm of the blocks m .. k-1 of u
             for key, m in (("tail_band_theta_linf", m1), ("tail_band_half_linf", m2)):
-                row[key] = norms.lp_norm(dyadic.band(u, ((m, k),), profile), math.inf) if m < k else 0.0
+                row[key] = norms.lp_norm(dyadic.band(u, ((m, k),)), math.inf) if m < k else 0.0
             row["high_band_smallness"] = w * (
                 row["tail_band_theta_linf"] + row["tail_band_half_linf"]
             )
-            row["tail_besov_theta"] = norms.besov_infty_norm(
-                dyadic.tail(u, m1, profile), 1.0 - 2.0 * sv, window, profile
-            )
-            row["tail_besov_half"] = norms.besov_infty_norm(
-                dyadic.tail(u, m2, profile), 1.0 - 2.0 * sv, window, profile
-            )
+            row["tail_besov_theta"] = norms.besov_infty_norm(dyadic.tail(u, m1), 1.0 - 2.0 * sv, window)
+            row["tail_besov_half"] = norms.besov_infty_norm(dyadic.tail(u, m2), 1.0 - 2.0 * sv, window)
         per_k[k] = row
 
     chains: dict[str, ChainRow] = {}
@@ -786,7 +748,7 @@ def diagnostics(
             lambda k: per_k[k]["tail_besov_half"] / math.ldexp(1.0, k) ** (1.0 - 2.0 * sv),
         )
 
-    u0 = dyadic.tail(u, 0, profile)
+    u0 = dyadic.tail(u, 0)
     windowed_min = {
         key: min(per_k[k][key] for k in per_k)
         for key in ("classical_smallness", "fractional_smallness")
@@ -806,7 +768,7 @@ def diagnostics(
 # identity bounding chains (level-resolved majorants of the localized terms)
 
 
-def snc_chains(u: VectorField, led: TrilinearLedger, s=None, profile=DEFAULT_PROFILE):
+def snc_chains(u: VectorField, led: TrilinearLedger, s=None):
     """Empirical constants for the majorants of the localized sum.
 
     Returns {name: (lhs, rhs, ratio)} at the ledger's level: the first two
@@ -815,21 +777,21 @@ def snc_chains(u: VectorField, led: TrilinearLedger, s=None, profile=DEFAULT_PRO
     and the third term against the [k/2]+3 energy.
     """
     k = led.k
-    su_inf = norms.lp_norm(dyadic.lowpass(u, k, profile), math.inf)
+    su_inf = norms.lp_norm(dyadic.lowpass(u, k), math.inf)
     lhs12 = abs(led.terms["snc_rhs_1"] + led.terms["snc_rhs_2"])
     lhs3 = abs(led.terms["snc_rhs_3"])
     half3 = split_index(Fraction(1, 2), k) + 3
     out = {}
     if s is None:
-        e12 = norms.dirichlet(dyadic.lowpass(u, k + 3, profile))
-        e3 = norms.dirichlet(dyadic.lowpass(u, half3, profile))
+        e12 = norms.dirichlet(dyadic.lowpass(u, k + 3))
+        e3 = norms.dirichlet(dyadic.lowpass(u, half3))
         rhs12 = math.ldexp(1.0, -k) * su_inf * e12
         rhs3 = math.ldexp(1.0, -k) * su_inf * e3
     else:
         sv = float(as_fraction(s))
         w = math.ldexp(1.0, k) ** (1.0 - 2.0 * sv)
-        e12 = norms.sobolev_norm(dyadic.lowpass(u, k + 3, profile), sv) ** 2
-        e3 = norms.sobolev_norm(dyadic.lowpass(u, half3, profile), sv) ** 2
+        e12 = norms.sobolev_norm(dyadic.lowpass(u, k + 3), sv) ** 2
+        e3 = norms.sobolev_norm(dyadic.lowpass(u, half3), sv) ** 2
         rhs12 = w * su_inf * e12
         rhs3 = w * su_inf * e3
     out["retained-12"] = (lhs12, rhs12, lhs12 / rhs12 if rhs12 > 0 else 0.0)
@@ -853,21 +815,15 @@ class EnergyBalanceRow:
     forcing: float
 
 
-def energy_balance_residual(
-    u: VectorField,
-    f: VectorField,
-    s,
-    k: int,
-    profile: DyadicProfile = DEFAULT_PROFILE,
-) -> EnergyBalanceRow:
+def energy_balance_residual(u: VectorField, f: VectorField, s, k: int) -> EnergyBalanceRow:
     """Residual of the tail-paired momentum balance for a forced solution.
 
     |  ||(-D)^(s/2) tail||^2 + tri(u,u,tail) + <(-D)^(s/2) S_k u,
        (-D)^(s/2) tail>  -  <f, tail>  |
     """
     sv = float(as_fraction(s))
-    tl = dyadic.tail(u, k, profile)
-    su = dyadic.lowpass(u, k, profile)
+    tl = dyadic.tail(u, k)
+    su = dyadic.lowpass(u, k)
     t1 = norms.fractional_dirichlet(tl, sv)
     t2 = products.trilinear(u, u, tl)
     t3 = _frac_pairing(su, tl, sv)

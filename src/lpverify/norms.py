@@ -99,7 +99,6 @@ def sobolev_norm(
     s: float,
     method: str = "fourier",
     window: dyadic.DyadicWindow | None = None,
-    profile: dyadic.DyadicProfile = dyadic.DEFAULT_PROFILE,
 ) -> float:
     """Homogeneous Sobolev norm, Fourier-weight or dyadic block-sum form.
 
@@ -114,32 +113,27 @@ def sobolev_norm(
     window = window or dyadic.DyadicWindow.for_grid(g)
     total = 0.0
     for k in window.indices():
-        bk = _block_l2(u, k, profile)
+        bk = _block_l2(u, k)
         total += (math.ldexp(1.0, k) ** s * bk) ** 2
     return math.sqrt(total)
 
 
-def _block_l2(u: SpectralField | VectorField, k: int, profile) -> float:
+def _block_l2(u: SpectralField | VectorField, k: int) -> float:
     def weight(g, at):
-        return dyadic._multiplier(g, k, k + 1, profile, at) ** 2
+        return dyadic._multiplier(g, k, k + 1, dyadic.DEFAULT_PROFILE, at) ** 2
 
     return math.sqrt(_spectral_weighted_sq(u, weight))
 
 
-def block_l2_profile(
-    u: SpectralField | VectorField,
-    window: dyadic.DyadicWindow,
-    profile: dyadic.DyadicProfile = dyadic.DEFAULT_PROFILE,
-) -> dict[int, float]:
+def block_l2_profile(u: SpectralField | VectorField, window: dyadic.DyadicWindow) -> dict[int, float]:
     """Per-level block L^2 amplitudes over a window."""
-    return {k: _block_l2(u, k, profile) for k in window.indices()}
+    return {k: _block_l2(u, k) for k in window.indices()}
 
 
 def besov_infty_norm(
     u: SpectralField | VectorField,
     s: float,
     window: dyadic.DyadicWindow | None = None,
-    profile: dyadic.DyadicProfile = dyadic.DEFAULT_PROFILE,
 ) -> float:
     """sup over window levels of 2^(ks) * max-abs of the dyadic block."""
     g = u.grid
@@ -147,7 +141,7 @@ def besov_infty_norm(
     comps = _components(u)
     best = 0.0
     for k in window.indices():
-        blocks = [dyadic.block(c, k, profile) for c in comps]
+        blocks = [dyadic.block(c, k) for c in comps]
         if all(b.max_abs_coeff() == 0.0 for b in blocks):
             continue
         mag = _magnitude_samples(

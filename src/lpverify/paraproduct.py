@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import dyadic, norms, products
-from .dyadic import DEFAULT_PROFILE, DyadicProfile, DyadicWindow
+from .dyadic import DyadicWindow
 from .errors import FieldError, WindowError
 from .spectral import SpectralField
 
@@ -71,7 +71,6 @@ def bony_split(
     g: SpectralField,
     window: DyadicWindow | None = None,
     guard: int = 2,
-    profile: DyadicProfile = DEFAULT_PROFILE,
     audit: bool = True,
 ) -> BonySplit:
     """Split the de-aliased product fg into paraproducts plus remainder.
@@ -96,10 +95,10 @@ def bony_split(
     audits: list[SummandAudit] = []
     tilde_l2: dict[int, float] = {}
     for i in window.indices():
-        bf = dyadic.block(f, i, profile)
-        bg = dyadic.block(g, i, profile)
-        lf = dyadic.lowpass(f, i - 2, profile)
-        lg = dyadic.lowpass(g, i - 2, profile)
+        bf = dyadic.block(f, i)
+        bg = dyadic.block(g, i)
+        lf = dyadic.lowpass(f, i - 2)
+        lg = dyadic.lowpass(g, i - 2)
         if bf.max_abs_coeff() and lg.max_abs_coeff():
             p = products.product(bf, lg)
             t_fg = t_fg + p
@@ -111,7 +110,7 @@ def bony_split(
             if audit:
                 audits.append(SummandAudit("t_gf", i, *dyadic.annulus_audit(p, i)))
         if bf.max_abs_coeff():
-            tg_i = dyadic.tilde_block(g, i, profile)
+            tg_i = dyadic.tilde_block(g, i)
             tilde_l2[i] = tg_i.l2()
             if tg_i.max_abs_coeff():
                 rem = rem + products.product(bf, tg_i)
@@ -148,7 +147,6 @@ def product_sobolev_bound(
     s: float,
     window: DyadicWindow | None = None,
     guard: int = 2,
-    profile: DyadicProfile = DEFAULT_PROFILE,
 ) -> ProductBoundReport:
     """Measure ||fg||_{H^(2s-3/2)} against ||f||_{H^s} ||g||_{H^s}.
 
@@ -160,7 +158,7 @@ def product_sobolev_bound(
         raise FieldError(f"product bound needs 0 < s < 1, got {s}")
     grid = f.grid
     window = window or DyadicWindow.for_grid(grid)
-    split = bony_split(f, g, window=window, guard=guard, profile=profile, audit=False)
+    split = bony_split(f, g, window=window, guard=guard, audit=False)
     fg = products.product(f, g)
     sigma = 2.0 * s - 1.5
 
@@ -173,8 +171,8 @@ def product_sobolev_bound(
         )
 
     levels = tuple(window.indices())
-    bf = {k: norms._block_l2(f, k, profile) for k in levels}
-    bg = {k: norms._block_l2(g, k, profile) for k in levels}
+    bf = {k: norms._block_l2(f, k) for k in levels}
+    bg = {k: norms._block_l2(g, k) for k in levels}
     # read only where bf[k] != 0: there block(f, k) != 0, so bony_split built tilde_block(g, k)
     tg_l2 = {k: split.tilde_l2[k] if bf[k] else 0.0 for k in levels}
 
@@ -182,9 +180,9 @@ def product_sobolev_bound(
     lk_bound, mk_bound, nk_bound = [], [], []
     for k in levels:
         w = math.ldexp(1.0, k) ** sigma
-        lk.append(w * norms._block_l2(split.t_fg, k, profile))
-        mk.append(w * norms._block_l2(split.t_gf, k, profile))
-        nk.append(w * norms._block_l2(split.remainder, k, profile))
+        lk.append(w * norms._block_l2(split.t_fg, k))
+        mk.append(w * norms._block_l2(split.t_gf, k))
+        nk.append(w * norms._block_l2(split.remainder, k))
         lk_bound.append(_paraproduct_bound(k, bf, bg, s, levels))
         mk_bound.append(_paraproduct_bound(k, bg, bf, s, levels))
         nk_bound.append(_resonant_bound(k, bf, tg_l2, s, levels))
@@ -194,7 +192,7 @@ def product_sobolev_bound(
         return max(ratios) if ratios else 0.0
 
     lhs_blocks = math.sqrt(
-        sum((math.ldexp(1.0, k) ** sigma * norms._block_l2(fg, k, profile)) ** 2 for k in levels)
+        sum((math.ldexp(1.0, k) ** sigma * norms._block_l2(fg, k)) ** 2 for k in levels)
     )
     return ProductBoundReport(
         s=s,

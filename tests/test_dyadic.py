@@ -1,4 +1,7 @@
+import importlib
+import inspect
 import math
+import pkgutil
 
 import numpy as np
 import pytest
@@ -39,6 +42,30 @@ def test_profile_telescoping_partition(r, k_lo):
 def test_fingerprint_distinguishes_shapes():
     assert DEFAULT_PROFILE.fingerprint() != DyadicProfile(sharpness=2.0).fingerprint()
     assert DEFAULT_PROFILE.fingerprint() == DyadicProfile().fingerprint()
+
+
+def _defined_functions():
+    """Every function and method written in the lpverify modules, by qualified name."""
+    import lpverify
+
+    for info in pkgutil.iter_modules(lpverify.__path__):
+        mod = importlib.import_module(f"lpverify.{info.name}")
+        for obj in vars(mod).values():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            members = vars(obj).values() if inspect.isclass(obj) else [obj]
+            for m in members:
+                fn = getattr(m, "__func__", None) or getattr(m, "fget", None) or getattr(m, "func", None) or m
+                # dataclass-generated methods are compiled from "<string>", not written here
+                if inspect.isfunction(fn) and fn.__code__.co_filename == mod.__file__:
+                    yield f"{mod.__name__}.{fn.__qualname__}", fn
+
+
+def test_profile_is_named_once():
+    named = sorted(
+        name for name, fn in _defined_functions() if "profile" in inspect.signature(fn).parameters
+    )
+    assert named == ["lpverify.dyadic._multiplier"]
 
 
 # -- window arithmetic ----------------------------------------------------------

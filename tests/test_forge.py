@@ -171,7 +171,7 @@ def _cube_generate(grid, spec):
     for _ in range(3):
         ratios = {}
         for k, t in targets.items():
-            m = norms._block_l2(u, k, DEFAULT_PROFILE)
+            m = norms._block_l2(u, k)
             if m == 0.0:
                 raise SpectrumSpecError(f"band {k} received no energy")
             ratios[k] = t / m

@@ -154,7 +154,7 @@ def test_s_half_uses_level_zero_split(field64):
     led = ledger.ledger_fractional_high(field64, 3, "1/2")
     assert led.theta == 0.0
     # [theta k] = 0 for every k, so the removed part keeps S_0 only
-    ws = ledger._Workspace(field64, 3, dyadic.DEFAULT_PROFILE)
+    ws = ledger._Workspace(field64, 3)
     expect = 0.0
     for l in range(2, 6):
         for lp in range(l - 2, 3):
@@ -205,7 +205,7 @@ def _literal_filters(u, k):
 def test_band_filters_match_literal_composition(grid32, k):
     win = DyadicWindow.for_grid(grid32)
     u = forge.generate(grid32, forge.SpectrumSpec("white-band", seed=5, band=(win.k_min, win.k_max)))
-    ws = ledger._Workspace(u, k, dyadic.DEFAULT_PROFILE)
+    ws = ledger._Workspace(u, k)
     top = max(c.max_abs_coeff() for c in u.components)
     for name, filt, expect in _literal_filters(u, k):
         got = ws.field(filt)

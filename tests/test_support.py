@@ -108,7 +108,7 @@ def _assert_kernels_match_cube(u):
         assert norms.fractional_dirichlet(u, s) == _cube_weighted_sq(u, _cube_xi_power(g, 2.0 * s))
     window = DyadicWindow.for_grid(g)
     for k in window.indices():
-        assert norms._block_l2(u, k, DEFAULT_PROFILE) == _cube_block_l2(u, k)
+        assert norms._block_l2(u, k) == _cube_block_l2(u, k)
         for c in _components(u):
             assert dyadic.annulus_audit(c, k) == _cube_annulus_audit(c, k)
 
