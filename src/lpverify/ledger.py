@@ -232,6 +232,27 @@ class _Workspace:
             self._evict()
         return out
 
+    def sampler(self, filts) -> tuple[list[VectorField], object]:
+        """(fields, sample): the filtered fields of ``filts``, and
+        ``sample(c, eg)`` for their components, as ``products._product``
+        takes it.  On this grid it reads ``phys`` under the band order of
+        ``tri``, so the two share samples; on any other it keeps the
+        samples it makes for as long as it lives."""
+        filts = [tuple(sorted(f)) for f in filts]
+        fields = [self.field(f) for f in filts]
+        where = {id(c): (f, i) for f, v in zip(filts, fields) for i, c in enumerate(v.components)}
+        other: dict[tuple, np.ndarray] = {}
+
+        def sample(c: SpectralField, eg) -> np.ndarray:
+            f, i = where[id(c)]
+            if eg == self.grid:
+                return self.phys(f)[i]
+            if (f, i, eg.n) not in other:
+                other[f, i, eg.n] = products.samples_on(c, eg)
+            return other[f, i, eg.n]
+
+        return fields, sample
+
     # -- the elementary integral --------------------------------------------
 
     def tri(self, xf: tuple, yf: tuple, zf: tuple) -> float:
@@ -292,12 +313,17 @@ def ledger_classical(u: VectorField, k: int, theta=Fraction(1, 2)) -> TrilinearL
     Requires u mean-zero, divergence-free, band-limited inside the grid
     window.  theta in (0,1) sets the resonant split index [theta k].
     """
+    return _ledger_classical(_Workspace(u, k), theta)
+
+
+def _ledger_classical(ws: _Workspace, theta) -> TrilinearLedger:
+    """``ledger_classical`` of ws.u at ws.k, on a given workspace."""
     theta = as_fraction(theta)
     if not (0 < theta < 1):
         raise FieldError(f"theta must lie in (0, 1), got {theta}")
-    if not u.div_free:
+    if not ws.u.div_free:
         raise FieldError("ledger_classical expects a certified divergence-free field")
-    ws = _Workspace(u, k)
+    k = ws.k
     terms: dict[str, float] = {}
 
     terms["I1"] = ws.tri(ws.low, ws.low, ws.tail)
@@ -320,7 +346,7 @@ def ledger_classical(u: VectorField, k: int, theta=Fraction(1, 2)) -> TrilinearL
         total - (terms["I12"] + terms["I13"] + terms["I231"] + terms["I232"])
     )
     return TrilinearLedger(
-        k=k, theta=float(theta), s=None, terms=terms, scale=ledger_scale(u), resonant=c_l
+        k=k, theta=float(theta), s=None, terms=terms, scale=ledger_scale(ws.u), resonant=c_l
     )
 
 
@@ -337,26 +363,43 @@ def ledger_fractional_low(u: VectorField, k: int, s) -> TrilinearLedger:
     recorded alongside (negative-order norms of the stress and of the
     tail gradient, and the pressure bound).
     """
+    return _fractional_low_sweep(u, (k,), s)[k]
+
+
+def _fractional_low_sweep(u: VectorField, ks, s) -> dict[int, TrilinearLedger]:
+    """``ledger_fractional_low`` at each level of ``ks``.
+
+    Only the tail-gradient certificate depends on k; the stress and
+    pressure norms and ||u||_{H^s} are computed once, after the first
+    ledger has checked u.
+    """
     sf = as_fraction(s)
     if not (Fraction(5, 6) <= sf < 1):
         raise FieldError(f"fractional-low path needs 5/6 <= s < 1, got {sf}")
-    base = ledger_classical(u, k, theta=Fraction(1, 2))
     sv = float(sf)
     sigma = 2.0 * sv - 1.5
-    certs: dict[str, float] = {}
-    stress = list(products._stress(u))
-    stress_max = 0.0
-    for _, t in stress:
-        stress_max = max(stress_max, norms.sobolev_norm(t, sigma))
-    certs["stress_sobolev_max"] = stress_max
-    certs["tail_grad_negative_order"] = _tail_grad_norm(u, k, 1.5 - 2.0 * sv)
-    pressure = products._pressure(u.grid, stress)
-    certs["pressure_sobolev"] = norms.sobolev_norm(pressure, sigma)
-    certs["hs_norm"] = norms.sobolev_norm(u, sv)
-    return TrilinearLedger(
-        k=k, theta=base.theta, s=sv, terms=dict(base.terms), scale=base.scale,
-        certificates=certs, resonant=base.resonant,
-    )
+    out: dict[int, TrilinearLedger] = {}
+    level_free = None
+    for k in ks:
+        base = ledger_classical(u, k, theta=Fraction(1, 2))
+        if level_free is None:
+            stress = list(products._stress(u))
+            stress_max = 0.0
+            for _, t in stress:
+                stress_max = max(stress_max, norms.sobolev_norm(t, sigma))
+            pressure = products._pressure(u.grid, stress)
+            level_free = (stress_max, norms.sobolev_norm(pressure, sigma), norms.sobolev_norm(u, sv))
+        certs = {
+            "stress_sobolev_max": level_free[0],
+            "tail_grad_negative_order": _tail_grad_norm(u, k, 1.5 - 2.0 * sv),
+            "pressure_sobolev": level_free[1],
+            "hs_norm": level_free[2],
+        }
+        out[k] = TrilinearLedger(
+            k=k, theta=base.theta, s=sv, terms=dict(base.terms), scale=base.scale,
+            certificates=certs, resonant=base.resonant,
+        )
+    return out
 
 
 def _tail_grad_norm(u: VectorField, k: int, order: float) -> float:
@@ -591,19 +634,28 @@ def support_audit(u: VectorField, k: int) -> SupportAuditReport:
     summands claimed disjoint from grad lowpass(u,k) must pair to zero at
     rounding level.  The gradient of the low-pass itself has bit-exact
     support inside the open ball of radius 2^k.
+
+    Each level's three filtrates are sampled once per component, not once
+    per product, through the ledger workspace's memo of physical samples.
     """
-    ws = _Workspace(u, k)
-    g = u.grid
+    return _support_audit(_Workspace(u, k))
+
+
+def _support_audit(ws: _Workspace) -> SupportAuditReport:
+    """``support_audit`` of ws.u at ws.k; its samples are shared with any
+    ledger evaluated on the same workspace."""
+    k = ws.k
+    g = ws.grid
     rows: list[AuditRow] = []
     su = ws.field(ws.low)
     grad_su = [gradient(c).components for c in su.components]
     grad_ok = all(gc.band_radius() < math.ldexp(1.0, k) for comps in grad_su for gc in comps)
     grad_scale = math.sqrt(norms.dirichlet(su))
 
-    def audit_product(term: str, l: int, a: SpectralField, b: SpectralField):
+    def audit_product(term: str, l: int, a: SpectralField, b: SpectralField, sample):
         if a.max_abs_coeff() == 0.0 or b.max_abs_coeff() == 0.0:
             return
-        p = products.product(a, b)
+        p = products._product(a, b, sample)
         lo, hi, max_in, max_out = dyadic.annulus_audit(p, l)
         scale = max(max_in, max_out)
         pairing = 0.0
@@ -617,13 +669,13 @@ def support_audit(u: VectorField, k: int) -> SupportAuditReport:
         rows.append(AuditRow(term, l, lo, hi, max_out, pairing, disjoint, scale))
 
     for l in range(k - 1, ws.l_top + 1):
-        dl = ws.field(_block(l) + ws.tail)
-        ss = ws.field(_low(l - 2) + ws.low)
-        st = ws.field(_low(l - 2) + ws.tail)
+        (dl, ss, st), sample = ws.sampler(
+            (_block(l) + ws.tail, _low(l - 2) + ws.low, _low(l - 2) + ws.tail)
+        )
         for i in range(3):
             for j in range(3):
-                audit_product("I12-summand", l, dl.components[i], ss.components[j])
-                audit_product("I21-I22-summand", l, dl.components[i], st.components[j])
+                audit_product("I12-summand", l, dl.components[i], ss.components[j], sample)
+                audit_product("I21-I22-summand", l, dl.components[i], st.components[j], sample)
 
     violations = sum(
         1
@@ -669,13 +721,39 @@ def diagnostics(u: VectorField, s, window: DyadicWindow | None = None) -> Diagno
     Limit statements in k are downgraded to windowed minima and labeled
     as such; each chain records its empirical constant, the largest
     LHS/RHS ratio over the window.
+
+    The Besov values are read from one table of block sups max|Delta_j u|,
+    each block sampled once per call.  Delta_j S_k u is Delta_j u for
+    j <= k-2 and zero for j >= k+1, so a low-pass S_k u is sampled only at
+    its edge blocks k-1 and k, once for both weights; a tail T_m u is
+    Delta_j u for j >= m+1 and zero for j <= m-2, so it is sampled only at
+    m-1 and m, once per m.
     """
+    window = window or DyadicWindow.for_grid(u.grid)
+    return _diagnostics(u, s, window, norms._block_table(u, window))
+
+
+def _diagnostics(u: VectorField, s, window: DyadicWindow, table: dict[int, float]) -> DiagnosticsReport:
+    """``diagnostics`` with u's block sups over ``window`` given as ``table``."""
     sf = as_fraction(s)
     sv = float(sf)
-    g = u.grid
-    window = window or DyadicWindow.for_grid(g)
     theta = theta_for(sf) if Fraction(1, 2) <= sf < Fraction(5, 6) else None
     hs = norms.sobolev_norm(u, sv)
+
+    def block_sups(f, edge: int, inner) -> dict[int, float]:
+        # f's block sups: the table's where ``inner(j)`` (f's block is u's
+        # there), f's own at edge-1 and edge, zero elsewhere
+        sups = {j: table[j] for j in window.indices() if inner(j)}
+        sups.update({j: norms._block_sup(f, j) for j in (edge - 1, edge) if j in window})
+        return sups
+
+    tail_sups: dict[int, dict[int, float]] = {}
+
+    def tail_besov(m: int) -> float:
+        if m not in tail_sups:
+            tail_sups[m] = block_sups(dyadic.tail(u, m), m, lambda j: j >= m + 1)
+        return norms._besov_combine(tail_sups[m], 1.0 - 2.0 * sv)
+
     per_k: dict[int, dict[str, float]] = {}
     for k in window.indices():
         row: dict[str, float] = {}
@@ -684,8 +762,9 @@ def diagnostics(u: VectorField, s, window: DyadicWindow | None = None) -> Diagno
         row["lowpass_linf"] = linf
         row["classical_smallness"] = math.ldexp(1.0, -k) * linf
         row["fractional_smallness"] = math.ldexp(1.0, k) ** (1.0 - 2.0 * sv) * linf
-        row["besov_neg1_lowpass"] = norms.besov_infty_norm(su, -1.0, window)
-        row["besov_frac_lowpass"] = norms.besov_infty_norm(su, 1.0 - 2.0 * sv, window)
+        low_sups = block_sups(su, k, lambda j: j <= k - 2)
+        row["besov_neg1_lowpass"] = norms._besov_combine(low_sups, -1.0)
+        row["besov_frac_lowpass"] = norms._besov_combine(low_sups, 1.0 - 2.0 * sv)
         row["fourier_l32_ball"] = norms.spectral_lr_ball(u, 1.5, math.ldexp(1.0, k))
         row["fourier_lr_ball"] = norms.spectral_lr_ball(
             u, 3.0 / (4.0 - 2.0 * sv), math.ldexp(1.0, k)
@@ -700,8 +779,8 @@ def diagnostics(u: VectorField, s, window: DyadicWindow | None = None) -> Diagno
             row["high_band_smallness"] = w * (
                 row["tail_band_theta_linf"] + row["tail_band_half_linf"]
             )
-            row["tail_besov_theta"] = norms.besov_infty_norm(dyadic.tail(u, m1), 1.0 - 2.0 * sv, window)
-            row["tail_besov_half"] = norms.besov_infty_norm(dyadic.tail(u, m2), 1.0 - 2.0 * sv, window)
+            row["tail_besov_theta"] = tail_besov(m1)
+            row["tail_besov_half"] = tail_besov(m2)
         per_k[k] = row
 
     chains: dict[str, ChainRow] = {}

@@ -136,18 +136,35 @@ def besov_infty_norm(
     window: dyadic.DyadicWindow | None = None,
 ) -> float:
     """sup over window levels of 2^(ks) * max-abs of the dyadic block."""
-    g = u.grid
-    window = window or dyadic.DyadicWindow.for_grid(g)
-    comps = _components(u)
+    return _besov_combine(_block_table(u, window), s)
+
+
+def _block_table(
+    u: SpectralField | VectorField, window: dyadic.DyadicWindow | None = None
+) -> dict[int, float]:
+    """{k: max |Delta_k u|} over the window levels (default: the grid's window)."""
+    window = window or dyadic.DyadicWindow.for_grid(u.grid)
+    return {k: _block_sup(u, k) for k in window.indices()}
+
+
+def _block_sup(u: SpectralField | VectorField, k: int) -> float:
+    """max |Delta_k u| over the samples (the pointwise magnitude of a vector
+    field); 0.0 for a zero block, which is not sampled."""
+    blocks = [dyadic.block(c, k) for c in _components(u)]
+    if all(b.max_abs_coeff() == 0.0 for b in blocks):
+        return 0.0
+    mag = _magnitude_samples(
+        blocks[0] if len(blocks) == 1 else VectorField(tuple(blocks))  # type: ignore[arg-type]
+    )
+    return float(np.max(mag))
+
+
+def _besov_combine(sups: dict[int, float], s: float) -> float:
+    """max over levels k of 2^(ks) * sups[k], zero blocks skipped."""
     best = 0.0
-    for k in window.indices():
-        blocks = [dyadic.block(c, k) for c in comps]
-        if all(b.max_abs_coeff() == 0.0 for b in blocks):
-            continue
-        mag = _magnitude_samples(
-            blocks[0] if len(blocks) == 1 else VectorField(tuple(blocks))  # type: ignore[arg-type]
-        )
-        best = max(best, math.ldexp(1.0, k) ** s * float(np.max(mag)))
+    for k, sup in sups.items():
+        if sup != 0.0:
+            best = max(best, math.ldexp(1.0, k) ** s * sup)
     return best
 
 

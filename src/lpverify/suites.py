@@ -487,7 +487,9 @@ def _classical_sweep(cfg: SuiteConfig, grid: TorusGrid) -> SuiteResult:
         u = _window_field(grid, cfg.seed + i)
         S = ledger.ledger_scale(u)
         for k in range(sweep[0], sweep[1] + 1):
-            led = ledger.ledger_classical(u, k, cfg.theta)
+            # the ledger and the support audit sample their filtrates once, on one workspace
+            ws = ledger._Workspace(u, k)
+            led = ledger._ledger_classical(ws, cfg.theta)
             rows.extend(_ledger_rows(cfg, led, cfg.seed + i))
             T = led.terms
             agg["I11"] = max(agg["I11"], abs(T["I11"]) / S)
@@ -501,7 +503,7 @@ def _classical_sweep(cfg: SuiteConfig, grid: TorusGrid) -> SuiteResult:
             splits = [led.split(th) for th in (Fraction(1, 4), Fraction(3, 4))]
             spread = max(abs(lo + hi - base) for lo, hi in splits)
             agg["theta"] = max(agg["theta"], spread / S)
-            agg["audit"] = max(agg["audit"], float(ledger.support_audit(u, k).violations))
+            agg["audit"] = max(agg["audit"], float(ledger._support_audit(ws).violations))
     checks.append(_check("vanishing-I11", "paraproduct-disjointness", agg["I11"], 1.0, cfg.tol("vanishing")))
     checks.append(_check("vanishing-I21", "paraproduct-disjointness", agg["I21"], 1.0, cfg.tol("vanishing")))
     checks.append(_check("vanishing-I22", "paraproduct-disjointness", agg["I22"], 1.0, cfg.tol("vanishing")))
@@ -555,9 +557,9 @@ def _suite_fractional_low(cfg: SuiteConfig) -> SuiteResult:
     for s in cfg.s_values:
         worst = 0.0
         certs_ok = True
-        leds = {}
+        leds = ledger._fractional_low_sweep(u, bases, s)
         for k, base in bases.items():
-            leds[k] = led = ledger.ledger_fractional_low(u, k, s)
+            led = leds[k]
             worst = max(worst, max(abs(led.terms[t] - base.terms[t]) for t in base.terms) / base.scale)
             certs_ok &= all(math.isfinite(v) for v in led.certificates.values())
         checks.append(_check(f"fractional-coherence-s={s}", "s-independent-decomposition", worst, 1.0, cfg.tol("coherence")))
@@ -639,8 +641,11 @@ def _suite_diagnostics(cfg: SuiteConfig) -> SuiteResult:
     grid = TorusGrid(cfg.n, cfg.box)
     checks = []
     u = _window_field(grid, cfg.seed, alpha=1.0)
+    # u's block sups, read by the diagnostics of every s and by the Besov norm report
+    win = DyadicWindow.for_grid(grid)
+    table = norms._block_table(u, win)
     for s in cfg.s_values:
-        rep = ledger.diagnostics(u, s)
+        rep = ledger._diagnostics(u, s, win, table)
         for name, chain in rep.chains.items():
             ok = math.isfinite(chain.c_emp)
             if name == "lowpass-linf-vs-besov":
@@ -662,7 +667,7 @@ def _suite_diagnostics(cfg: SuiteConfig) -> SuiteResult:
             norms.NormReport("fractional-dirichlet", sv, "fourier", norms.fractional_dirichlet(u, sv)),
             norms.NormReport("sobolev", sv, "fourier", norms.sobolev_norm(u, sv)),
             norms.NormReport("sobolev", sv, "lp-sum", norms.sobolev_norm(u, sv, method="lp-sum")),
-            norms.NormReport("besov-sup", 1.0 - 2.0 * sv, "lp-sum", norms.besov_infty_norm(u, 1.0 - 2.0 * sv)),
+            norms.NormReport("besov-sup", 1.0 - 2.0 * sv, "lp-sum", norms._besov_combine(table, 1.0 - 2.0 * sv)),
         ):
             norm_rows.append([report.name, report.parameter, report.method, report.value])
     tables = [{"name": "norm-reports", "columns": ["name", "s_or_p", "method", "value"],

@@ -210,6 +210,24 @@ def test_block_symbol_is_lowpass_difference(n, box):
         assert np.array_equal(np.signbit(blk), np.signbit(diff)), k
 
 
+@pytest.mark.parametrize("n", [32, 64])
+def test_block_identities_of_lowpass_and_tail(n):
+    # Delta_j S_k = Delta_j for j <= k-2 and 0 for j >= k+1; Delta_j T_m = Delta_j
+    # for j >= m+1 and 0 for j <= m-2: the identities behind the diagnostics block table
+    g = TorusGrid(n, TWO_PI)
+    win = DyadicWindow.for_grid(g)
+    for j in win.indices():
+        on_block = dyadic._multiplier(g, j, j + 1, DEFAULT_PROFILE) != 0.0
+        assert on_block.any(), j
+        for k in win.indices():
+            low = dyadic._multiplier(g, -math.inf, k, DEFAULT_PROFILE)[on_block]
+            tail_sym = dyadic._multiplier(g, k, math.inf, DEFAULT_PROFILE)[on_block]
+            if j <= k - 2:
+                assert np.all(low == 1.0) and np.all(tail_sym == 0.0), (j, k)
+            if j >= k + 1:
+                assert np.all(low == 0.0) and np.all(tail_sym == 1.0), (j, k)
+
+
 def test_cache_holds_only_lowpasses_and_blocks():
     g = TorusGrid(32, TWO_PI)
     u = suites._window_field(g, 3)

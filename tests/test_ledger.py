@@ -10,7 +10,7 @@ from lpverify import TorusGrid, VectorField
 from lpverify.dyadic import DyadicWindow
 from lpverify.errors import FieldError
 from lpverify.spectral import TWO_PI
-from lpverify import dyadic, forge, ledger, norms, products
+from lpverify import dyadic, forge, ledger, norms, products, suites
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +128,24 @@ def test_fractional_low_coherence(field64):
         ledger.ledger_fractional_low(field64, 2, "0.7")
 
 
+def test_fractional_low_sweep_matches_per_level_ledgers(grid32):
+    u = suites._window_field(grid32, 1)
+    leds = ledger._fractional_low_sweep(u, (1, 2), "5/6")
+    assert leds == {k: ledger.ledger_fractional_low(u, k, "5/6") for k in (1, 2)}
+    sigma = 2.0 * (5 / 6) - 1.5
+    stress = [products.product(u.components[i], u.components[j]) for i in range(3) for j in range(i, 3)]
+    for k, led in leds.items():
+        assert led.terms == ledger.ledger_classical(u, k).terms
+        assert led.certificates == {
+            "stress_sobolev_max": max(norms.sobolev_norm(t, sigma) for t in stress),
+            "tail_grad_negative_order": ledger._tail_grad_norm(u, k, 1.5 - 2.0 * (5 / 6)),
+            "pressure_sobolev": norms.sobolev_norm(products.pressure_from_velocity(u), sigma),
+            "hs_norm": norms.sobolev_norm(u, 5 / 6),
+        }
+    with pytest.raises(FieldError):
+        ledger._fractional_low_sweep(u, (1, 2), "0.7")
+
+
 def test_fractional_high_reconstruction(field64):
     for s in ("0.6", "0.7", "1/2"):
         led = ledger.ledger_fractional_high(field64, 2, s)
@@ -224,6 +242,53 @@ def test_support_audit_clean(field64):
     assert rep.max_relative_leak <= 1e-13
 
 
+def _audit_products_literal(u, k):
+    """(term, level, annulus, max outside, scale) of each audited product,
+    every product made by ``products.product`` from public filters."""
+    tl = dyadic.tail(u, k)
+    out = []
+    for l in range(k - 1, ledger._Workspace(u, k).l_top + 1):
+        dl = dyadic.block(tl, l)
+        pairs = (("I12-summand", dyadic.lowpass(dyadic.lowpass(u, k), l - 2)),
+                 ("I21-I22-summand", dyadic.lowpass(tl, l - 2)))
+        for i in range(3):
+            for j in range(3):
+                for term, f in pairs:
+                    a, b = dl.components[i], f.components[j]
+                    if a.max_abs_coeff() == 0.0 or b.max_abs_coeff() == 0.0:
+                        continue
+                    lo, hi, max_in, max_out = dyadic.annulus_audit(products.product(a, b), l)
+                    out.append((term, l, lo, hi, max_out, max(max_in, max_out)))
+    return out
+
+
+@pytest.mark.parametrize("order", ["ledger-first", "audit-first", "evicting"])
+def test_support_audit_on_shared_workspace(grid32, monkeypatch, order):
+    u = suites._window_field(grid32, 2)
+    k = 1
+    alone, fresh = ledger.support_audit(u, k), ledger.ledger_classical(u, k)
+    literal = _audit_products_literal(u, k)
+    assert len(alone.rows) == len(literal)
+    for r, (term, l, lo, hi, max_out, scale) in zip(alone.rows, literal):
+        assert (r.term, r.level, r.annulus_lo, r.annulus_hi) == (term, l, lo, hi)
+        assert r.scale == pytest.approx(scale, rel=1e-12)
+        assert abs(r.max_outside - max_out) <= 1e-14 * scale
+    if order == "evicting":  # room for four samples, less than one gradient entry
+        monkeypatch.setattr(ledger, "_WORKSPACE_BYTES", 4 * grid32.n**3 * 8)
+    ws = ledger._Workspace(u, k)
+    if order == "audit-first":
+        rep = ledger._support_audit(ws)
+        led = ledger._ledger_classical(ws, Fraction(1, 2))
+    else:
+        led = ledger._ledger_classical(ws, Fraction(1, 2))
+        rep = ledger._support_audit(ws)
+    assert rep == alone
+    assert rep.rows and rep.violations == 0
+    assert led == fresh
+    if order == "evicting":
+        assert not ws._grad and ws._bytes <= ledger._WORKSPACE_BYTES
+
+
 # -- decay fits -----------------------------------------------------------------------
 
 
@@ -305,6 +370,27 @@ def test_diagnostics_single_mode_values(grid32):
     rep = ledger.diagnostics(u, "5/6")
     # low-pass at level 3 is the identity on the |xi| = 1 mode
     assert abs(rep.per_k[3]["classical_smallness"] - 1.0 / 8.0) <= 1e-12
+
+
+@pytest.mark.parametrize("s", ["5/6", "3/5", "1/2"])
+@pytest.mark.parametrize("window", [None, DyadicWindow(1, 2)])
+@pytest.mark.parametrize("alpha", [1.0, None])  # power-law, white-band
+def test_diagnostics_besov_entries_match_explicit_filtrates(grid32, s, window, alpha):
+    u = suites._window_field(grid32, 3, alpha=alpha)
+    rep = ledger.diagnostics(u, s, window)
+    win = window or DyadicWindow.for_grid(grid32)
+    w = 1.0 - 2.0 * float(ledger.as_fraction(s))
+    theta = ledger.theta_for(s) if s != "5/6" else None
+    assert list(rep.per_k) == list(win.indices())
+    for k, row in rep.per_k.items():
+        su = dyadic.lowpass(u, k)
+        assert row["besov_neg1_lowpass"] == norms.besov_infty_norm(su, -1.0, win)
+        assert row["besov_frac_lowpass"] == norms.besov_infty_norm(su, w, win)
+        assert row["besov_neg1_lowpass"] > 0.0 or k == win.k_min
+        if theta is not None:
+            for key, m in (("tail_besov_theta", ledger.split_index(theta, k)),
+                           ("tail_besov_half", ledger.split_index(Fraction(1, 2), k))):
+                assert row[key] == norms.besov_infty_norm(dyadic.tail(u, m), w, win), (k, key)
 
 
 def test_diagnostics_chains(field64):
