@@ -5,8 +5,10 @@
     lpverify generate --spec <json> --n <int> [--box <float>] --out <snapshot>
     lpverify inspect --in <snapshot>
 
-Exit codes: 0 all checks passed, 1 at least one check failed,
-2 configuration error, 3 resource budget exceeded.
+Exit codes: 0 all checks passed; 1 at least one check failed, or a
+numerical failure inside a suite (a field, grid or aliasing error);
+2 configuration error (bad arguments, unknown suite, a window too small
+for the suite, a bad snapshot); 3 resource budget exceeded.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from pathlib import Path
 
 from .errors import (
     ConfigError,
+    GridError,
     LPVerifyError,
     ResourceBudgetError,
     SnapshotFormatError,
@@ -60,12 +63,23 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _cmd_run(args) -> int:
+def _grid(n: int, box: float | None):
+    """The grid of ``--n`` and ``--box`` (default 2*pi); a bad pair is a
+    configuration error, raised before any work starts."""
     import math
 
+    from .spectral import TorusGrid
+
+    try:
+        return TorusGrid(n, box if box is not None else 2.0 * math.pi)
+    except GridError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _cmd_run(args) -> int:
     from . import suites
 
-    box = args.box if args.box is not None else 2.0 * math.pi
+    box = _grid(args.n, args.box).box_length
     tols = {}
     for item in args.tol:
         name, _, value = item.partition("=")
@@ -99,17 +113,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    import math
-
     from . import forge, snapshot
-    from .spectral import TorusGrid
 
     spec = forge.SpectrumSpec.from_json(Path(args.spec).read_text())
-    box = args.box if args.box is not None else 2.0 * math.pi
-    grid = TorusGrid(args.n, box)
+    grid = _grid(args.n, args.box)
     u = forge.generate(grid, spec)
     snapshot.snapshot_write(u, args.out)
-    print(f"wrote {args.out} (n={args.n}, box={box})")
+    print(f"wrote {args.out} (n={args.n}, box={grid.box_length})")
     return EXIT_PASS
 
 
@@ -132,12 +142,15 @@ def main(argv=None) -> int:
     except ResourceBudgetError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ConfigError, WindowError, SpectrumSpecError, SnapshotFormatError, ValueError, OSError) as exc:
+    except (ConfigError, WindowError, SpectrumSpecError, SnapshotFormatError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except LPVerifyError as exc:
+    except LPVerifyError as exc:  # FieldError, GridError, AliasingGuardError, PicardError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
+    except ValueError as exc:  # an argument value that does not parse
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -140,9 +140,10 @@ class _Workspace:
 
     All fields here are band-limited inside the grid window, so every
     cubic pairing is alias-free on the native lattice (axis bandwidth sums
-    stay below n).  Physical samples and gradients are memoized per filter
-    under a byte budget with oldest-first eviction; spectral fields are
-    rebuilt on demand (multiplier work is cheap next to transforms).
+    stay below n).  Filtered fields, their physical samples and their
+    gradients' samples are memoized per filter under one byte budget,
+    evicted oldest first (gradients, then samples, then fields).  A
+    filtrate of a small support holds only that support and its values.
     """
 
     def __init__(self, u: VectorField, k: int):
@@ -166,23 +167,19 @@ class _Workspace:
         self._phys: dict[tuple, list] = {}
         self._grad: dict[tuple, list] = {}
         self._zero: dict[tuple, bool] = {}
+        #: bytes charged per (store, filter), as held when stored
+        self._sizes: dict[tuple, int] = {}
         self._bytes = 0
 
-    def _charge(self, arrays) -> None:
-        for group in arrays:
-            for a in group if isinstance(group, list) else [group]:
-                if a is not None:
-                    self._bytes += a.nbytes
-
-    def _evict(self) -> None:
-        while self._bytes > _WORKSPACE_BYTES and (self._phys or self._grad):
-            store = self._grad if self._grad else self._phys
-            token = next(iter(store))
-            dropped = store.pop(token)
-            for group in dropped:
-                for a in group if isinstance(group, list) else [group]:
-                    if a is not None:
-                        self._bytes -= a.nbytes
+    def _keep(self, store: dict, filt: tuple, entry, nbytes: int) -> None:
+        store[filt] = entry
+        self._sizes[id(store), filt] = nbytes
+        self._bytes += nbytes
+        for victims in (self._grad, self._phys, self._fields):
+            while self._bytes > _WORKSPACE_BYTES and victims:
+                oldest = next(iter(victims))
+                del victims[oldest]
+                self._bytes -= self._sizes.pop((id(victims), oldest))
 
     # -- filtered fields ----------------------------------------------------
 
@@ -193,10 +190,7 @@ class _Workspace:
         out = self._fields.get(filt)
         if out is None:
             out = dyadic.band(self.u, filt)
-            # single bands are kept; products of bands are cheap to rebuild
-            # and would dominate the footprint
-            if len(filt) == 1:
-                self._fields[filt] = out
+            self._keep(self._fields, filt, out, sum(c.nbytes for c in out.components))
         return out
 
     def is_zero(self, filt: tuple) -> bool:
@@ -213,9 +207,7 @@ class _Workspace:
                 None if c.max_abs_coeff() == 0.0 else c.samples()
                 for c in self.field(filt).components
             ]
-            self._phys[filt] = out
-            self._charge(out)
-            self._evict()
+            self._keep(self._phys, filt, out, sum(a.nbytes for a in out if a is not None))
         return out
 
     def grad_phys(self, filt: tuple) -> list:
@@ -227,9 +219,7 @@ class _Workspace:
                     out.append([None, None, None])
                 else:
                     out.append([gc.samples() for gc in gradient(c).components])
-            self._grad[filt] = out
-            self._charge(out)
-            self._evict()
+            self._keep(self._grad, filt, out, sum(a.nbytes for g in out for a in g if a is not None))
         return out
 
     def sampler(self, filts) -> tuple[list[VectorField], object]:

@@ -61,17 +61,28 @@ def _require_clean_band(u: SpectralField, dst: TorusGrid) -> None:
 
 
 def samples_on(u: SpectralField, dst: TorusGrid) -> np.ndarray:
-    """Sample the trigonometric field on another grid of the same box (real fields)."""
+    """Sample the trigonometric field on another grid of the same box (real fields).
+
+    A field with a known small support scatters its kz >= 0 modes, scaled,
+    straight into the destination's half cube.
+    """
     g = u.grid
     if dst == g:
         return u.samples()
     ax = _common_axis(g, dst)
     _require_clean_band(u, dst)
     half = np.zeros((dst.n, dst.n, dst.n // 2 + 1), dtype=np.complex128)
-    for sx, sy in itertools.product(ax, repeat=2):
-        half[sx, sy, ax[0]] = u.coeffs[sx, sy, ax[0]]
     scale = FOURIER_NORM / dst.cell_volume
-    return _fft.irfftn(half * scale, s=(dst.n,) * 3, workers=fft_workers())
+    at = u.active
+    if isinstance(at, slice):
+        for sx, sy in itertools.product(ax, repeat=2):
+            half[sx, sy, ax[0]] = u.coeffs[sx, sy, ax[0]]
+        half = half * scale
+    else:  # the clean band keeps every mode inside the common axis range
+        mx, my, mz = (g.modes[i] for i in np.unravel_index(at, (g.n,) * 3))
+        keep = mz >= 0
+        half[mx[keep], my[keep], mz[keep]] = u.values[keep] * scale
+    return _fft.irfftn(half, s=(dst.n,) * 3, workers=fft_workers())
 
 
 def restrict_to(samples: np.ndarray, eval_grid: TorusGrid, out: TorusGrid) -> SpectralField:

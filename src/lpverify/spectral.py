@@ -16,22 +16,31 @@ construction and every operator returns a new field.
 
 Every field carries its support: the ascending flat indices of its
 nonzero coefficients, the exact set and never a superset.  Constructors
-that know it pass it in (generated bands, filters, sums, products from a
-coarser grid); any other field (a forward transform, a snapshot) scans
-its cube when the support is first asked for.  Coefficient kernels
-(filters, maxima, band radii, block norms, Sobolev weights) read and
-write only the ``active`` indices: a known support covering at most 1/8
-of the cube, else the whole cube.  Products and maxima are exact in any
-order, and sums keep the cube order: the terms are scattered into a
-float cube that is +0.0 off the support and summed with ``np.sum``.  So
-every value equals the full-cube evaluation bit for bit.
+that know it pass it in (generated bands, filters, sums, gradients,
+products from a coarser grid); any other field (a forward transform, a
+snapshot) scans its cube when the support is first asked for.
+
+Storage follows one rule.  A field built on a known support of at most
+1/8 of the cube (``_SPARSE``) holds only that support and its values;
+every other field holds its n^3 complex cube.  ``coeffs`` is the cube
+either way: a field stored on its support builds it on first read (the
+L^2 norm, cube-order pairings, snapshots) and keeps it.  Coefficient
+kernels (filters, sums, gradients, maxima, band radii, block norms,
+Sobolev weights) read and write only the ``active`` indices: a known
+support covering at most 1/8 of the cube, else the whole cube.  The
+inverse transforms scatter a small support's scaled values straight
+into the half cube the real inverse FFT reads.  Products and maxima are
+exact in any order, and sums keep the cube order: the terms are
+scattered into a float cube that is +0.0 off the support and summed
+with ``np.sum``.  So every value equals the full-cube evaluation bit for
+bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 import scipy.fft as _fft
@@ -144,28 +153,27 @@ class TorusGrid:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SpectralField:
     """Complex Fourier coefficients of a scalar field on a TorusGrid.
 
     Flags record structural facts used by downstream checks: real-valued
     fields carry exact Hermitian symmetry, mean-zero fields a vanishing
     zero mode.  Immutable by convention; operators return new instances.
+
+    A field holds its n^3 cube, or, when built on a support of at most
+    1/_SPARSE of the cube, only that support and its values; ``coeffs``
+    then builds the cube on first read and keeps it.
     """
 
-    grid: TorusGrid
-    coeffs: np.ndarray
-    real_valued: bool = True
-    mean_zero: bool = True
+    #: the values at ``support`` of a field stored on its support, else None
+    _values: np.ndarray | None = None
 
-    def __post_init__(self):
-        n = self.grid.n
-        if self.coeffs.shape != (n, n, n):
-            raise FieldError(
-                f"coefficient shape {self.coeffs.shape} does not match grid n={n}"
-            )
-        if self.coeffs.dtype != np.complex128:
-            object.__setattr__(self, "coeffs", self.coeffs.astype(np.complex128))
+    def __init__(self, grid: TorusGrid, coeffs: np.ndarray, real_valued: bool = True, mean_zero: bool = True):
+        n = grid.n
+        if coeffs.shape != (n, n, n):
+            raise FieldError(f"coefficient shape {coeffs.shape} does not match grid n={n}")
+        self.grid, self.real_valued, self.mean_zero = grid, real_valued, mean_zero
+        self.coeffs = coeffs.astype(np.complex128, copy=False)
 
     # -- constructors -------------------------------------------------------
 
@@ -174,7 +182,9 @@ class SpectralField:
         return cls.on_support(grid, np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.complex128), **flags)
 
     @classmethod
-    def on_support(cls, grid: TorusGrid, at, values: np.ndarray, **flags) -> "SpectralField":
+    def on_support(
+        cls, grid: TorusGrid, at, values: np.ndarray, real_valued: bool = True, mean_zero: bool = True
+    ) -> "SpectralField":
         """The field with ``values`` at the flat indices ``at`` and zeros elsewhere.
 
         ``at`` is an ascending index array, whose entries with a zero value
@@ -182,17 +192,25 @@ class SpectralField:
         flattened cube and the support is left to be scanned on first use.
         """
         if isinstance(at, slice):
-            return cls(grid, values.reshape((grid.n,) * 3), **flags)
+            return cls(grid, values.reshape((grid.n,) * 3), real_valued, mean_zero)
         keep = values != 0
         if not keep.all():
             at, values = at[keep], values[keep]
-        coeffs = np.zeros((grid.n,) * 3, dtype=np.complex128)
-        coeffs.reshape(-1)[at] = values
-        u = cls(grid, coeffs, **flags)
-        u.__dict__["support"] = at
+        if at.size * _SPARSE > grid.n**3:
+            u = cls(grid, _scatter(grid, at, values), real_valued, mean_zero)
+        else:
+            u = cls.__new__(cls)
+            u.grid, u.real_valued, u.mean_zero = grid, real_valued, mean_zero
+            u._values = values.astype(np.complex128, copy=False)
+        u.support = at
         return u
 
-    # -- support ---------------------------------------------------------------
+    # -- storage ---------------------------------------------------------------
+
+    @cached_property
+    def coeffs(self) -> np.ndarray:
+        """The n^3 coefficient cube; a field stored on its support builds it here, once."""
+        return _scatter(self.grid, self.support, self._values)
 
     @cached_property
     def support(self) -> np.ndarray:
@@ -210,14 +228,36 @@ class SpectralField:
         scanned just to find that out.
         """
         sup = self.__dict__.get("support")
-        if sup is None or sup.size * _SPARSE > self.coeffs.size:
+        if sup is None or sup.size * _SPARSE > self.grid.n**3:
             return slice(None)
         return sup
 
     @property
     def values(self) -> np.ndarray:
         """The coefficients at ``active``, in its order."""
+        if self._values is not None:
+            return self._values
         return _take(self.coeffs, self.active)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of coefficient data held: the cube once built, the support once
+        known, and the values of a field stored on its support."""
+        held = (self.__dict__.get("coeffs"), self.__dict__.get("support"), self._values)
+        return sum(a.nbytes for a in held if a is not None)
+
+    def _at(self, at) -> np.ndarray:
+        """The coefficients at an index set ``at`` holding this field's
+        ``active`` set, in its order; for ``slice(None)``, the flattened cube.
+        A field stored on its support scatters its values there and keeps no
+        cube."""
+        if self._values is None:
+            return _take(self.coeffs, at)
+        if isinstance(at, slice):
+            return _scatter(self.grid, self.support, self._values).reshape(-1)
+        out = np.zeros(at.size, dtype=np.complex128)
+        out[np.searchsorted(at, self.support)] = self._values
+        return out
 
     # -- basic algebra (spectral side) --------------------------------------
 
@@ -238,11 +278,11 @@ class SpectralField:
 
     def _combine(self, other: "SpectralField", op) -> "SpectralField":
         _check_same_grid(self, other)
-        at = _union(self.active, other.active, self.coeffs.size)
+        at = _union(self.active, other.active, self.grid.n**3)
         return SpectralField.on_support(
             self.grid,
             at,
-            op(_take(self.coeffs, at), _take(other.coeffs, at)),
+            op(self._at(at), other._at(at)),
             real_valued=self.real_valued and other.real_valued,
             mean_zero=self.mean_zero and other.mean_zero,
         )
@@ -283,7 +323,7 @@ class SpectralField:
             nz = self.coeffs != 0
             per_axis = [m[nz.any(axis=tuple(b for b in range(3) if b != a))] for a in range(3)]
         else:
-            per_axis = [m[i] for i in np.unravel_index(at, self.coeffs.shape)]
+            per_axis = [m[i] for i in np.unravel_index(at, (self.grid.n,) * 3)]
         return max((int(p.max()) for p in per_axis if p.size), default=0)
 
     def nonzero_radii(self) -> np.ndarray:
@@ -320,6 +360,13 @@ def _take(cube: np.ndarray, at) -> np.ndarray:
     """The entries of a lattice cube at the flat indices ``at`` (a flat view
     of the whole cube for ``slice(None)``)."""
     return cube.reshape(-1)[at]
+
+
+def _scatter(grid: TorusGrid, at: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The complex n^3 cube holding ``values`` at the flat indices ``at`` and zeros elsewhere."""
+    cube = np.zeros((grid.n,) * 3, dtype=np.complex128)
+    cube.reshape(-1)[at] = values
+    return cube
 
 
 def _union(a, b, size: int):
@@ -464,13 +511,28 @@ def transform_forward(grid: TorusGrid, samples: np.ndarray) -> SpectralField:
 
 
 def transform_inverse(u: SpectralField) -> np.ndarray:
-    """Spectral coefficients -> physical samples."""
+    """Spectral coefficients -> physical samples.
+
+    A field with a known small support scatters its scaled values straight
+    into the array the inverse FFT reads (the kz >= 0 half cube of a real
+    field), with no n^3 coefficient cube.
+    """
     g = u.grid
+    n = g.n
     scale = FOURIER_NORM / g.cell_volume
-    if u.real_valued:
-        half = u.coeffs[:, :, : g.n // 2 + 1] * scale
-        return _fft.irfftn(half, s=(g.n,) * 3, workers=_fft_workers)
-    return _fft.ifftn(u.coeffs * scale, workers=_fft_workers)
+    at = u.active
+    if isinstance(at, slice):
+        if u.real_valued:
+            half = u.coeffs[:, :, : n // 2 + 1] * scale
+            return _fft.irfftn(half, s=(n,) * 3, workers=_fft_workers)
+        return _fft.ifftn(u.coeffs * scale, workers=_fft_workers)
+    if not u.real_valued:
+        return _fft.ifftn(_scatter(g, at, u.values * scale), workers=_fft_workers)
+    half = np.zeros((n, n, n // 2 + 1), dtype=np.complex128)
+    kz = at % n
+    keep = kz <= n // 2
+    half.reshape(-1)[at[keep] // n * (n // 2 + 1) + kz[keep]] = u.values[keep] * scale
+    return _fft.irfftn(half, s=(n,) * 3, workers=_fft_workers)
 
 
 def _mirror_half_spectrum(half: np.ndarray, n: int) -> np.ndarray:
@@ -527,30 +589,43 @@ def _apply_xi_power(u: SpectralField, power: float) -> SpectralField:
     return u.with_coeffs(out, mean_zero=True)
 
 
+def _gradient_symbols(grid: TorusGrid, at) -> list[np.ndarray]:
+    """i*xi_j for j = 0, 1, 2: broadcast to the cube for ``slice(None)``,
+    else at the flat indices ``at``."""
+    syms = [1j * grid.xi_component(axis) for axis in range(3)]
+    if isinstance(at, slice):
+        return syms
+    return [s.reshape(-1)[i] for s, i in zip(syms, np.unravel_index(at, (grid.n,) * 3))]
+
+
 def gradient(u: SpectralField) -> VectorField:
     """Spectral gradient: component j is i*xi_j * u_hat.
 
     Plain symbol multiplication, so divergence(gradient(f)) matches
     -(-Delta)f coefficient-exactly.  If the field carries energy on the
     unpaired Nyquist planes the odd symbol breaks Hermitian symmetry
-    there, and the result is flagged complex.
+    there, and the result is flagged complex.  A known small support is
+    kept: each component is the nonzero part of it.
     """
     g = u.grid
     real = u.real_valued and u.band_axis < g.n // 2
-    comps = []
-    for axis in range(3):
-        c = u.coeffs * (1j * g.xi_component(axis))
-        comps.append(SpectralField(g, c, real_valued=real, mean_zero=True))
+    at = u.active
+    vals = u.coeffs if isinstance(at, slice) else u.values
+    comps = (SpectralField.on_support(g, at, vals * s, real_valued=real, mean_zero=True)
+             for s in _gradient_symbols(g, at))
     return VectorField(tuple(comps))  # type: ignore[arg-type]
 
 
 def divergence(u: VectorField) -> SpectralField:
+    """sum_j i*xi_j * u_j_hat, on the union of the components' known small
+    supports when it is small too, else on the cube."""
     g = u.grid
-    acc = np.zeros((g.n,) * 3, dtype=np.complex128)
-    for axis, c in enumerate(u.components):
-        acc += c.coeffs * (1j * g.xi_component(axis))
+    at = reduce(lambda a, b: _union(a, b, g.n**3), (c.active for c in u.components))
+    acc = np.zeros((g.n,) * 3 if isinstance(at, slice) else at.size, dtype=np.complex128)
+    for c, s in zip(u.components, _gradient_symbols(g, at)):
+        acc += c._at(at).reshape(acc.shape) * s
     real = all(c.real_valued and c.band_axis < g.n // 2 for c in u.components)
-    return SpectralField(g, acc, real_valued=real, mean_zero=True)
+    return SpectralField.on_support(g, at, acc, real_valued=real, mean_zero=True)
 
 
 def leray_project(u: VectorField) -> VectorField:

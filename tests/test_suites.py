@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from lpverify import cli, forge, snapshot, suites
-from lpverify.errors import ConfigError, ResourceBudgetError
+from lpverify.errors import AliasingGuardError, ConfigError, FieldError, GridError, ResourceBudgetError
 
 
 def test_config_validation():
@@ -114,6 +114,35 @@ def test_cli_window_too_small_exit_code(capsys):
     rc = cli.main(["run", "--suite", "all", "--n", "8"])
     assert rc == cli.EXIT_CONFIG
     assert "window" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--n", "12"], ["--n", "4"], ["--n", "16", "--box", "-1"], ["--theta", "x"]])
+def test_cli_bad_arguments_exit_config_before_the_suite_runs(argv, monkeypatch, capsys):
+    def body(cfg):
+        raise AssertionError("the suite body ran")
+
+    monkeypatch.setitem(suites._SUITE_BODIES, "core", body)
+    assert cli.main(["run", "--suite", "core", *argv]) == cli.EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_cli_generate_bad_grid_exit_config(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(forge.SpectrumSpec("white-band", seed=4, band=(1, 2)).to_json())
+    rc = cli.main(["generate", "--spec", str(spec_path), "--n", "12", "--out", str(tmp_path / "f.lpf")])
+    assert rc == cli.EXIT_CONFIG
+    assert not (tmp_path / "f.lpf").exists()
+
+
+@pytest.mark.parametrize("error", [FieldError, GridError, AliasingGuardError])
+def test_cli_numerical_failure_in_a_suite_exits_one(error, monkeypatch, capsys):
+    def body(cfg):
+        raise error("numerical failure inside the suite")
+
+    monkeypatch.setitem(suites._SUITE_BODIES, "core", body)
+    assert cli.main(["run", "--suite", "core", "--n", "16"]) == cli.EXIT_CHECK_FAILED
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "configuration error" not in err
 
 
 def test_cli_run_core(capsys, tmp_path):

@@ -8,12 +8,14 @@ product stored -0.0 off the support, and the two compare equal.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lpverify import TorusGrid, VectorField, dyadic, forge, norms, products, spectral
 from lpverify.dyadic import DEFAULT_PROFILE, DyadicWindow, _multiplier
+from lpverify.errors import AliasingGuardError
 from lpverify.snapshot import snapshot_read, snapshot_write
 from lpverify.spectral import TWO_PI, SpectralField
 
@@ -259,3 +261,91 @@ def test_criterion_four_pair_never_scans_a_fine_cube(monkeypatch):
     for x in (f, h, fg):
         _assert_exact_support(x)
     assert values == [math.sqrt(_cube_weighted_sq(x, _cube_xi_power(g, 2.0 * t))) for x, t in pairs]
+
+
+# -- fields stored on their support ----------------------------------------------
+
+
+def _random_cube(n, seed, count, real, top=None):
+    """A cube with about ``count`` random nonzero modes, Hermitian-symmetric when
+    ``real``; modes with an axis |m| > ``top`` are left out (default: every
+    mode, the Nyquist planes included)."""
+    rng = np.random.default_rng(seed)
+    cube = np.zeros((n,) * 3, dtype=np.complex128)
+    m = np.abs(TorusGrid(n).modes)
+    idx = [rng.integers(0, n, count) for _ in range(3)]
+    if top is None:  # put a third of the modes on a Nyquist plane
+        for a in range(3):
+            idx[a][a::3] = n // 2
+    ok = np.ones(count, dtype=bool) if top is None else np.all([m[i] <= top for i in idx], axis=0)
+    cube[tuple(i[ok] for i in idx)] = rng.standard_normal(ok.sum()) + 1j * rng.standard_normal(ok.sum())
+    if real:
+        rev = spectral._reflect_index(n)
+        cube = 0.5 * (cube + np.conj(cube[rev][:, rev][:, :, rev]))
+    return cube
+
+
+def _stored_and_dense(grid, cube, real):
+    flags = dict(real_valued=real, mean_zero=bool(cube[0, 0, 0] == 0))
+    at = np.flatnonzero(cube)
+    stored = SpectralField.on_support(grid, at, cube.reshape(-1)[at], **flags)
+    assert "coeffs" not in stored.__dict__  # holds only its support and values
+    return stored, SpectralField(grid, cube.copy(), **flags)
+
+
+def _same(a, b):
+    assert (a.real_valued, a.mean_zero) == (b.real_valued, b.mean_zero)
+    assert np.array_equal(a.coeffs, b.coeffs)
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+@pytest.mark.parametrize("real", [True, False])
+def test_stored_support_matches_dense_cube(n, real):
+    g = TorusGrid(n, TWO_PI)
+    counts = (0, 1, n, n**3 // 64)
+    cubes = [_random_cube(n, 10 * n + i, c, real) for i, c in enumerate(counts)]
+    for cube, other in zip(cubes, cubes[1:] + cubes[:1]):
+        (s, d), (s2, d2) = _stored_and_dense(g, cube, real), _stored_and_dense(g, other, real)
+        assert np.array_equal(s.coeffs, cube)
+        assert np.array_equal(spectral.transform_inverse(s), spectral.transform_inverse(d))
+        for x, y in ((s, s2), (s, d2), (d, s2)):
+            _same(x + y, d + d2)
+            _same(x - y, d - d2)
+        gs, gd = spectral.gradient(s), spectral.gradient(d)
+        for a, b in zip(gs.components, gd.components):
+            _same(a, b)
+            assert "support" in a.__dict__
+            _assert_exact_support(a)
+        vs = VectorField((s, s2, s))
+        _same(spectral.divergence(vs), spectral.divergence(VectorField((d, d2, d))))
+        _same(spectral.divergence(gs), spectral.divergence(gd))
+        _assert_exact_support(spectral.divergence(gs))
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_stored_support_samples_on_other_grids(n):
+    g = TorusGrid(n, TWO_PI)
+    for dst, top in ((TorusGrid(n // 2, TWO_PI), n // 4 - 1), (TorusGrid(2 * n, TWO_PI), n // 2 - 1)):
+        for seed, count in enumerate((0, 1, n, n**3 // 64)):
+            s, d = _stored_and_dense(g, _random_cube(n, seed, count, True, top), True)
+            assert np.array_equal(products.samples_on(s, dst), products.samples_on(d, dst))
+    # energy on a Nyquist plane is rejected alike
+    s, d = _stored_and_dense(g, _random_cube(n, 1, n, True), True)
+    for u in (s, d):
+        with pytest.raises(AliasingGuardError):
+            products.samples_on(u, TorusGrid(2 * n, TWO_PI))
+
+
+def test_band_product_at_128_allocates_no_cube():
+    g = TorusGrid(128, TWO_PI)
+    warm = [forge.scalar_band(g, 1, (2, 2), salt=s) for s in (1, 2)]
+    products.product(*warm)  # lattice geometry of the grid, built once per grid
+    tracemalloc.start()
+    try:
+        f, h = (forge.scalar_band(g, 5, (2, 2), salt=s) for s in (1, 2))
+        p = products.product(f, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * g.n**3  # one complex n^3 cube, 32 MiB
+    assert all("coeffs" not in x.__dict__ for x in (f, h, p))
