@@ -33,7 +33,7 @@ import numpy as np
 
 from . import dyadic, norms, products
 from .dyadic import DyadicWindow
-from .errors import FieldError, WindowError
+from .errors import FieldError, GridError, WindowError
 from .spectral import SpectralField, VectorField, _xi_power, gradient
 
 __all__ = [
@@ -889,17 +889,42 @@ def energy_balance_residual(u: VectorField, f: VectorField, s, k: int) -> Energy
 
     |  ||(-D)^(s/2) tail||^2 + tri(u,u,tail) + <(-D)^(s/2) S_k u,
        (-D)^(s/2) tail>  -  <f, tail>  |
+
+    The one-level case of ``_energy_balance_sweep``, which samples u and
+    grad u once for all the levels of a sweep.
+    """
+    return _energy_balance_sweep(u, f, s, (k,))[0]
+
+
+def _energy_balance_sweep(u: VectorField, f: VectorField, s, ks) -> list[EnergyBalanceRow]:
+    """``energy_balance_residual`` at each level of ``ks``.
+
+    Only the tail T_k u depends on k.  The trilinear terms run as one
+    ``products._trilinear_sweep``, so u and grad u are sampled once per
+    evaluation grid, not once per level, and the scale floor ||f|| ||u||
+    is computed once.  Tails are built one level at a time, and each
+    level's terms keep the order of a call of its own.
     """
     sv = float(as_fraction(s))
-    tl = dyadic.tail(u, k)
-    su = dyadic.lowpass(u, k)
-    t1 = norms.fractional_dirichlet(tl, sv)
-    t2 = products.trilinear(u, u, tl)
-    t3 = _frac_pairing(su, tl, sv)
-    t4 = _l2_pairing(f, tl)
-    residual = abs(t1 + t2 + t3 - t4)
-    scale = max(abs(t1), abs(t2), abs(t3), abs(t4), f.l2() * u.l2(), 1e-300)
-    return EnergyBalanceRow(k, sv, residual, scale, t1, t2, t3, t4)
+    floor = f.l2() * u.l2()
+    terms = []  # (k, t1, t3, t4) per level
+
+    def tails():
+        for k in ks:
+            tl = dyadic.tail(u, k)
+            su = dyadic.lowpass(u, k)
+            t1 = norms.fractional_dirichlet(tl, sv)
+            yield tl  # the sweep takes tri(u, u, tl) before it resumes here
+            terms.append((k, t1, _frac_pairing(su, tl, sv), _l2_pairing(f, tl)))
+            del tl, su  # hold no tail while the next one is built
+
+    t2s = products._trilinear_sweep(u, u, tails())
+    rows = []
+    for (k, t1, t3, t4), t2 in zip(terms, t2s):
+        residual = abs(t1 + t2 + t3 - t4)
+        scale = max(abs(t1), abs(t2), abs(t3), abs(t4), floor, 1e-300)
+        rows.append(EnergyBalanceRow(k, sv, residual, scale, t1, t2, t3, t4))
+    return rows
 
 
 def _frac_pairing(a: VectorField, b: VectorField, s: float) -> float:
@@ -912,6 +937,8 @@ def _frac_pairing(a: VectorField, b: VectorField, s: float) -> float:
 
 def _l2_pairing(a: VectorField, b: VectorField) -> float:
     g = a.grid
+    if b.grid != g:
+        raise GridError("paired fields live on different grids")
     total = 0.0
     for ca, cb in zip(a.components, b.components):
         total += float(np.vdot(cb.coeffs, ca.coeffs).real)

@@ -167,27 +167,51 @@ def trilinear(u: VectorField, a: VectorField, b: VectorField) -> float:
 
     Evaluated as a plain quadrature on a grid fine enough that no alias
     image can reach the zero mode of the cubic integrand and every factor
-    is resolved.
+    is resolved.  This is the one-element case of ``_trilinear_sweep``,
+    which samples u and grad a once per evaluation grid for many b.
+    """
+    return _trilinear_sweep(u, a, (b,))[0]
+
+
+def _trilinear_sweep(u: VectorField, a: VectorField, bs) -> list[float]:
+    """``trilinear(u, a, b)`` for each b of the iterable ``bs``, in order.
+
+    u and the gradient of each nonzero component of a are sampled once per
+    evaluation grid the sweep meets, when a b first needs them.  Each b is
+    drawn from ``bs`` only when its turn comes, so a generator of b's is
+    never held whole, and only its nonzero components are sampled; a b that
+    pairs with no nonzero component of a is 0.0 and samples nothing.  Every
+    value is bit-identical to a call of its own, and a b on another grid
+    raises ``GridError`` when its turn comes, after the values before it.
     """
     grid = u.grid
-    if a.grid != grid or b.grid != grid:
-        raise GridError("trilinear operands live on different grids")
-    if (
-        u.components[0].max_abs_coeff() == 0.0
-        and u.components[1].max_abs_coeff() == 0.0
-        and u.components[2].max_abs_coeff() == 0.0
-    ):
-        return 0.0
-    bands = (u.band_axis(), a.band_axis(), b.band_axis())
-    eg = _eval_grid_for(grid, sum(bands), max(bands))
-    us = [samples_on(c, eg) for c in u.components]
-    gys: list = [None] * 3
-    zs: list = [None] * 3
-    for i, (ai, bi) in enumerate(zip(a.components, b.components)):
-        if ai.max_abs_coeff() != 0.0 and bi.max_abs_coeff() != 0.0:
-            gys[i] = [samples_on(g, eg) for g in gradient(ai).components]
-            zs[i] = samples_on(bi, eg)
-    return _contract(us, gys, zs) * eg.cell_volume
+    u_zero = all(c.max_abs_coeff() == 0.0 for c in u.components)
+    a_live = [c.max_abs_coeff() != 0.0 for c in a.components]
+    us: dict[int, list] = {}  # eval n -> samples of u
+    gys: dict[tuple[int, int], list] = {}  # (eval n, i) -> samples of grad a_i
+
+    def value(b: VectorField) -> float:
+        if a.grid != grid or b.grid != grid:
+            raise GridError("trilinear operands live on different grids")
+        pairs = [i for i in range(3) if a_live[i] and b.components[i].max_abs_coeff() != 0.0]
+        if u_zero or not pairs:
+            return 0.0
+        bands = (u.band_axis(), a.band_axis(), b.band_axis())
+        eg = _eval_grid_for(grid, sum(bands), max(bands))
+        if eg.n not in us:
+            us[eg.n] = [samples_on(c, eg) for c in u.components]
+        zs: list = [None] * 3
+        for i in pairs:
+            if (eg.n, i) not in gys:  # the gradient is not kept, only its samples
+                gys[eg.n, i] = [samples_on(g, eg) for g in gradient(a.components[i]).components]
+            zs[i] = samples_on(b.components[i], eg)
+        return _contract(us[eg.n], [gys.get((eg.n, i)) for i in range(3)], zs) * eg.cell_volume
+
+    out = []
+    for b in bs:
+        out.append(value(b))
+        del b  # hold no b while the next one is drawn
+    return out
 
 
 def _contract(xs: list, gys: list, zs: list) -> float:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from lpverify import TorusGrid, VectorField
 from lpverify.dyadic import DyadicWindow
-from lpverify.errors import FieldError
+from lpverify.errors import FieldError, GridError
 from lpverify.spectral import TWO_PI
 from lpverify import dyadic, forge, ledger, norms, products, suites
 
@@ -438,3 +438,42 @@ def test_energy_balance_picard_pair(grid32, s):
     for k in win.indices():
         row = ledger.energy_balance_residual(res.u, forge.leray_project(f), s, k)
         assert row.residual <= max(10.0 * res.residual, 1e-9) * row.scale
+
+
+def _energy_balance_per_level(u, f, s, k):
+    """One level's balance on its own: u and grad u are sampled afresh."""
+    sv = float(ledger.as_fraction(s))
+    tl = dyadic.tail(u, k)
+    su = dyadic.lowpass(u, k)
+    t1 = norms.fractional_dirichlet(tl, sv)
+    t2 = products.trilinear(u, u, tl)
+    t3 = ledger._frac_pairing(su, tl, sv)
+    t4 = ledger._l2_pairing(f, tl)
+    residual = abs(t1 + t2 + t3 - t4)
+    scale = max(abs(t1), abs(t2), abs(t3), abs(t4), f.l2() * u.l2(), 1e-300)
+    return ledger.EnergyBalanceRow(k, sv, residual, scale, t1, t2, t3, t4)
+
+
+@pytest.mark.parametrize("s", ["1", "5/6", "1/2"])
+def test_energy_balance_sweep_matches_per_level_rows(monkeypatch, grid32, s):
+    f = forge.taylor_green(grid32, amplitude=1e-2)
+    u = forge.picard_solve(f, float(Fraction(s)), tol=1e-11, max_iter=40).u
+    pf = forge.leray_project(f)
+    ks = DyadicWindow.for_grid(grid32).indices()
+    assert len(ks) == 4
+    calls = []
+    sample = products.samples_on
+    monkeypatch.setattr(products, "samples_on", lambda c, dst: calls.append(dst.n) or sample(c, dst))
+    want = [_energy_balance_per_level(u, pf, s, k) for k in ks]
+    assert len(calls) == 4 * (3 + 9 + 3)  # u, grad u and the tail at every level
+    del calls[:]
+    got = ledger._energy_balance_sweep(u, pf, s, ks)
+    assert len(calls) == 3 + 9 + 4 * 3  # u and grad u once, then each tail
+    assert got == want
+    assert [ledger.energy_balance_residual(u, pf, s, k) for k in ks] == want
+
+
+def test_energy_balance_rejects_mismatched_forcing(grid16, grid32):
+    u = forge.taylor_green(grid32)
+    with pytest.raises(GridError):
+        ledger._energy_balance_sweep(u, forge.taylor_green(grid16), 1.0, (0, 1))

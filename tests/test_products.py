@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lpverify import TorusGrid, VectorField, fractional_laplacian, transform_forward
-from lpverify.errors import AliasingGuardError
+from lpverify.errors import AliasingGuardError, GridError
 from lpverify.spectral import TWO_PI, SpectralField
 from lpverify import dyadic, forge, norms, products
 
@@ -153,6 +153,97 @@ def test_trilinear_matches_refined_grid_oracle(grid32):
             acc += float(np.sum(us[j] * products.samples_on(gi.components[j], fine) * bi))
     oracle = acc * fine.cell_volume
     assert abs(got - oracle) <= 1e-10 * max(abs(oracle), 1e-300)
+
+
+def _trilinear_per_call(u, a, b):
+    """The per-call quadrature: sample u, grad a and b afresh, then contract."""
+    from lpverify.spectral import gradient
+
+    grid = u.grid
+    if a.grid != grid or b.grid != grid:
+        raise GridError("trilinear operands live on different grids")
+    if all(c.max_abs_coeff() == 0.0 for c in u.components):
+        return 0.0
+    bands = (u.band_axis(), a.band_axis(), b.band_axis())
+    eg = products._eval_grid_for(grid, sum(bands), max(bands))
+    us = [products.samples_on(c, eg) for c in u.components]
+    gys = [None] * 3
+    zs = [None] * 3
+    for i, (ai, bi) in enumerate(zip(a.components, b.components)):
+        if ai.max_abs_coeff() != 0.0 and bi.max_abs_coeff() != 0.0:
+            gys[i] = [products.samples_on(g, eg) for g in gradient(ai).components]
+            zs[i] = products.samples_on(bi, eg)
+    return products._contract(us, gys, zs) * eg.cell_volume
+
+
+def _count_samples(monkeypatch):
+    calls = []
+    sample = products.samples_on
+
+    def spy(c, dst):
+        calls.append(dst.n)
+        return sample(c, dst)
+
+    monkeypatch.setattr(products, "samples_on", spy)
+    return calls
+
+
+def _sweep_operands(grid):
+    u = _band_field(grid, 5, (0, 1))  # axis bandwidth 2
+    half = _band_field(grid, 6, (1, 2))
+    one_zero = VectorField((half.components[0], SpectralField.zeros(grid), half.components[2]))
+    bs = [
+        _band_field(grid, 7, (0, 0)),  # axis bandwidth 1: the 8^3 grid
+        _band_field(grid, 8, (2, 3)),  # 8: the 32^3 grid
+        VectorField.zeros(grid),
+        _band_field(grid, 9, (0, 0)),  # back on the 8^3 grid
+        one_zero,  # 4: the 16^3 grid, component 1 zero
+    ]
+    return u, bs
+
+
+def test_trilinear_sweep_matches_per_call_quadrature(monkeypatch, grid32):
+    u, bs = _sweep_operands(grid32)
+    a = _band_field(grid32, 4, (1, 1))
+    for x, y in ((u, u), (u, a), (a, u)):
+        want = [_trilinear_per_call(x, y, b) for b in bs]
+        calls = _count_samples(monkeypatch)
+        got = products._trilinear_sweep(x, y, iter(bs))
+        monkeypatch.undo()
+        assert [v.hex() for v in got] == [v.hex() for v in want]  # bit for bit, signs of zeros too
+        # per grid: u and the paired components of grad y once (3 + 3 per
+        # pair), then the paired components of each b on that grid
+        assert {m: calls.count(m) for m in set(calls)} == {8: 3 + 9 + 3 + 3, 16: 3 + 6 + 2, 32: 3 + 9 + 3}
+    assert products._trilinear_sweep(u, u, [bs[1]]) == [products.trilinear(u, u, bs[1])]
+
+
+def test_trilinear_sweep_zero_factors(monkeypatch, grid32):
+    u, bs = _sweep_operands(grid32)
+    zero = VectorField.zeros(grid32)
+    calls = _count_samples(monkeypatch)
+    got = products._trilinear_sweep(u, u, [bs[2], bs[2]]) + products._trilinear_sweep(zero, u, bs)
+    assert calls == []  # a zero factor samples nothing
+    monkeypatch.undo()
+    want = [_trilinear_per_call(u, u, bs[2])] * 2 + [_trilinear_per_call(zero, u, b) for b in bs]
+    assert [v.hex() for v in got] == [v.hex() for v in want] == [(0.0).hex()] * 7
+
+
+def test_trilinear_sweep_rejects_mismatched_grid(grid16, grid32):
+    u, bs = _sweep_operands(grid32)
+    drawn = []
+
+    def operands():
+        for b in (bs[0], forge.taylor_green(grid16), bs[1]):
+            drawn.append(b)
+            yield b
+
+    with pytest.raises(GridError):
+        products._trilinear_sweep(u, u, operands())
+    assert len(drawn) == 2  # raised at the mismatched operand, before the rest are drawn
+    with pytest.raises(GridError):
+        products._trilinear_sweep(VectorField.zeros(grid32), u, [forge.taylor_green(grid16)])
+    with pytest.raises(GridError):
+        products._trilinear_sweep(u, forge.taylor_green(grid16), bs)
 
 
 # -- pressure ------------------------------------------------------------------
