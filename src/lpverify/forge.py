@@ -11,8 +11,8 @@ Band-limited spectra are supported on the closed annulus
 partition of unity; per-band amplitude targets are enforced by a couple
 of partition-weighted correction sweeps.  Painting, the solenoidal
 projection and the sweeps act mode by mode, so they run on the support
-only; each block energy is summed over a cube that is zero off the
-support, in cube order, so the values equal a full-cube evaluation.
+only, and each block energy is summed over the support's terms in
+ascending flat order.
 """
 
 from __future__ import annotations
@@ -230,14 +230,12 @@ def _random_band(grid: TorusGrid, spec: SpectrumSpec) -> VectorField:
     # band-target sweeps: a radial correction, which keeps the field solenoidal,
     # blends the per-band ratios through the squared partition weights
     w2 = {k: dyadic._multiplier(grid, k, k + 1, dyadic.DEFAULT_PROFILE, support) ** 2 for k in targets}
-    energy = np.zeros((grid.n,) * 3)  # zero off the support, summed in cube order
     for _ in range(3):
         num = den = 0.0
         for k, t in targets.items():
             total = 0.0
             for v in vals:
-                energy.reshape(-1)[support] = w2[k] * (v.real**2 + v.imag**2)
-                total += float(np.sum(energy))
+                total += float(np.sum(w2[k] * (v.real**2 + v.imag**2)))
             m = math.sqrt(total * grid.spectral_cell)
             if m == 0.0:
                 raise SpectrumSpecError(f"band {k} received no energy")

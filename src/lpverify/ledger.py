@@ -654,7 +654,7 @@ def _support_audit(ws: _Workspace) -> SupportAuditReport:
             norm = grad_scale * p.l2() + 1e-300
             for comps in grad_su:
                 for gc in comps:
-                    val = abs(float(np.vdot(gc.coeffs, p.coeffs).real) * g.spectral_cell)
+                    val = abs(float(np.vdot(gc.values, p._at(gc.active)).real) * g.spectral_cell)
                     pairing = max(pairing, val / norm)
         rows.append(AuditRow(term, l, lo, hi, max_out, pairing, disjoint, scale))
 

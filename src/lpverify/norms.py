@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from . import dyadic
 from .errors import FieldError
-from .spectral import SpectralField, VectorField, _cube_sum, _take, _xi_power
+from .spectral import SpectralField, VectorField, _take, _union, _xi_power
 
 __all__ = [
     "NormReport",
@@ -73,14 +74,15 @@ def lp_norm(u: SpectralField | VectorField, p: float) -> float:
 
 
 def _spectral_weighted_sq(u: SpectralField | VectorField, weight) -> float:
-    """Sum of weight * |u_hat|^2 over each component's ``active`` set, where
-    ``weight(grid, at)`` is the weight there, times the spectral cell."""
+    """Sum of weight * |u_hat|^2 over each component's ``active`` set, in
+    ascending flat order, where ``weight(grid, at)`` is the weight there,
+    times the spectral cell."""
     comps = _components(u)
     g = comps[0].grid
     total = 0.0
     for c in comps:
         at, v = c.active, c.values
-        total += _cube_sum(g, at, weight(g, at) * (v.real**2 + v.imag**2))
+        total += float(np.sum(weight(g, at) * (v.real**2 + v.imag**2)))
     return total * g.spectral_cell
 
 
@@ -169,15 +171,18 @@ def _besov_combine(sups: dict[int, float], s: float) -> float:
 
 
 def spectral_lr_ball(u: SpectralField | VectorField, r: float, radius: float) -> float:
-    """||u_hat||_{L^r} over the ball |xi| <= radius, lattice quadrature."""
+    """||u_hat||_{L^r} over the ball |xi| <= radius, lattice quadrature,
+    read at the components' ``active`` indices inside the ball."""
     if r < 1:
         raise FieldError(f"spectral L^r norm needs r >= 1, got {r}")
     comps = _components(u)
     g = comps[0].grid
-    mask = g.xi_abs <= radius
-    mag_sq = np.zeros(int(mask.sum()))
+    at = reduce(lambda a, b: _union(a, b, g.n**3), (c.active for c in comps))
+    inside = _take(g.xi_abs, at) <= radius
+    at = np.flatnonzero(inside) if isinstance(at, slice) else at[inside]
+    mag_sq = np.zeros(at.size)
     for c in comps:
-        v = c.coeffs[mask]
+        v = c._at(at)
         mag_sq += v.real**2 + v.imag**2
     if math.isinf(r):
         return math.sqrt(float(mag_sq.max())) if mag_sq.size else 0.0

@@ -23,17 +23,17 @@ snapshot) scans its cube when the support is first asked for.
 Storage follows one rule.  A field built on a known support of at most
 1/8 of the cube (``_SPARSE``) holds only that support and its values;
 every other field holds its n^3 complex cube.  ``coeffs`` is the cube
-either way: a field stored on its support builds it on first read (the
-L^2 norm, cube-order pairings, snapshots) and keeps it.  Coefficient
-kernels (filters, sums, gradients, maxima, band radii, block norms,
-Sobolev weights) read and write only the ``active`` indices: a known
-support covering at most 1/8 of the cube, else the whole cube.  The
-inverse transforms scatter a small support's scaled values straight
+either way: a field stored on its support builds it on first read
+(snapshots, cube arithmetic) and keeps it.  Coefficient kernels (filters,
+sums, gradients, maxima, band radii, block norms, Sobolev weights, the
+L^2 norm and pairings) read and write only the ``active`` indices: a
+known support covering at most 1/8 of the cube, else the whole cube.
+The inverse transforms scatter a small support's scaled values straight
 into the half cube the real inverse FFT reads.  Products and maxima are
-exact in any order, and sums keep the cube order: the terms are
-scattered into a float cube that is +0.0 off the support and summed
-with ``np.sum``.  So every value equals the full-cube evaluation bit for
-bit.
+exact, so they equal the full-cube evaluation bit for bit.  A sum runs
+over the ``active`` set in ascending flat order, so over a small support
+it adds only the nonzero terms and differs from a full-cube sum at
+rounding level.
 """
 
 from __future__ import annotations
@@ -247,16 +247,19 @@ class SpectralField:
         return sum(a.nbytes for a in held if a is not None)
 
     def _at(self, at) -> np.ndarray:
-        """The coefficients at an index set ``at`` holding this field's
-        ``active`` set, in its order; for ``slice(None)``, the flattened cube.
-        A field stored on its support scatters its values there and keeps no
-        cube."""
+        """The coefficients at an ascending index set ``at``, in its order;
+        for ``slice(None)``, the flattened cube.  A field stored on its
+        support reads its values there and keeps no cube."""
         if self._values is None:
             return _take(self.coeffs, at)
         if isinstance(at, slice):
             return _scatter(self.grid, self.support, self._values).reshape(-1)
         out = np.zeros(at.size, dtype=np.complex128)
-        out[np.searchsorted(at, self.support)] = self._values
+        sup = self.support
+        if sup.size:
+            pos = np.minimum(np.searchsorted(sup, at), sup.size - 1)
+            hit = sup[pos] == at
+            out[hit] = self._values[pos[hit]]
         return out
 
     # -- basic algebra (spectral side) --------------------------------------
@@ -307,9 +310,9 @@ class SpectralField:
     # -- diagnostics ---------------------------------------------------------
 
     def l2(self) -> float:
-        """L^2 norm via the spectral quadrature."""
-        c = self.coeffs
-        return math.sqrt(float(np.vdot(c, c).real) * self.grid.spectral_cell)
+        """L^2 norm via the spectral quadrature, summed over ``active``."""
+        v = self.values
+        return math.sqrt(float(np.vdot(v, v).real) * self.grid.spectral_cell)
 
     def max_abs_coeff(self) -> float:
         return float(np.max(np.abs(self.values), initial=0.0))
@@ -386,18 +389,6 @@ def _union(a, b, size: int):
     keep[0] = True
     np.not_equal(both[1:], both[:-1], out=keep[1:])
     return both[keep]
-
-
-def _cube_sum(grid: TorusGrid, at, terms: np.ndarray) -> float:
-    """``np.sum`` of the float cube holding ``terms`` at ``at`` and +0.0
-    elsewhere: the full-cube sum, in the full cube's order."""
-    if isinstance(at, slice):
-        return float(np.sum(terms.reshape((grid.n,) * 3)))
-    if not terms.size:
-        return 0.0
-    cube = np.zeros((grid.n,) * 3)
-    cube.reshape(-1)[at] = terms
-    return float(np.sum(cube))
 
 
 def _reflect_index(n: int) -> np.ndarray:

@@ -415,7 +415,7 @@ def _suite_paraproduct(cfg: SuiteConfig) -> SuiteResult:
         split = paraproduct.bony_split(f, h, window=win)
         fg = products.product(f, h)
         scale = max(fg.max_abs_coeff(), 1e-300)
-        worst_rel = max(worst_rel, float(np.max(np.abs(split.total().coeffs - fg.coeffs))) / scale)
+        worst_rel = max(worst_rel, (split.total() - fg).max_abs_coeff() / scale)
         for row in split.audits:
             worst_leak = max(worst_leak, row.max_outside / max(row.max_inside, 1e-300))
     checks.append(_check("bony-reconstruction", "product-splitting", worst_rel, 1.0, cfg.tol("bony"),

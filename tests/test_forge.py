@@ -99,7 +99,9 @@ def test_band_outside_window_rejected(grid16):
 # The painters below are a literal full-cube copy of the generator: every one
 # of the n^3 modes is signed, hashed and phased, and the band enters only as a
 # zero weight off the support.  The forge paints the support alone; a mode's
-# value must not depend on which other modes are evaluated.
+# value must not depend on which other modes are evaluated.  The band-target
+# sweeps sum each block energy over the band's modes in ascending flat order,
+# and so does the copy.
 
 
 def _cube_splitmix(z):
@@ -171,7 +173,12 @@ def _cube_generate(grid, spec):
     for _ in range(3):
         ratios = {}
         for k, t in targets.items():
-            m = norms._block_l2(u, k)
+            # the block energy, summed over the band's modes in ascending flat order
+            w2 = dyadic._multiplier(grid, k, k + 1, DEFAULT_PROFILE) ** 2
+            total = 0.0
+            for c in u.components:
+                total += float(np.sum((w2 * (c.coeffs.real**2 + c.coeffs.imag**2))[support]))
+            m = math.sqrt(total * grid.spectral_cell)
             if m == 0.0:
                 raise SpectrumSpecError(f"band {k} received no energy")
             ratios[k] = t / m

@@ -1,10 +1,12 @@
 """Every field's support is its exact nonzero set, and every coefficient
 kernel that runs on the support equals its full-cube expression.
 
-The oracles below are the literal full-cube expressions the kernels had
-before they moved onto the support.  Equality is ``==`` (``np.array_equal``
-for arrays): the one raw-bit difference allowed is +0.0 where a cube
-product stored -0.0 off the support, and the two compare equal.
+The oracles below are full-cube expressions.  A sum over a field runs
+over its ``active`` set in ascending flat order, so a sum oracle adds the
+cube's terms in that order: the nonzero entries for a small known
+support, else the whole cube.  Equality is ``==`` (``np.array_equal`` for
+arrays): the one raw-bit difference allowed is +0.0 where a cube product
+stored -0.0 off the support, and the two compare equal.
 """
 
 import math
@@ -13,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lpverify import TorusGrid, VectorField, dyadic, forge, norms, products, spectral
+from lpverify import TorusGrid, VectorField, dyadic, forge, norms, products, spectral, suites
 from lpverify.dyadic import DEFAULT_PROFILE, DyadicWindow, _multiplier
 from lpverify.errors import AliasingGuardError
 from lpverify.snapshot import snapshot_read, snapshot_write
@@ -55,11 +57,30 @@ def _cube_band_radius(c):
     return float(c.grid.xi_abs[nz].max())
 
 
+def _in_sum_order(c, cube):
+    """The entries of a lattice cube in the order a sum over ``c`` visits them."""
+    return cube if isinstance(c.active, slice) else cube.reshape(-1)[np.flatnonzero(c.coeffs)]
+
+
 def _cube_weighted_sq(u, weight):
     total = 0.0
     for c in _components(u):
-        total += float(np.sum(weight * (c.coeffs.real**2 + c.coeffs.imag**2)))
+        total += float(np.sum(_in_sum_order(c, weight * (c.coeffs.real**2 + c.coeffs.imag**2))))
     return total * u.grid.spectral_cell
+
+
+def _cube_l2(c):
+    v = _in_sum_order(c, c.coeffs)
+    return math.sqrt(float(np.vdot(v, v).real) * c.grid.spectral_cell)
+
+
+def _cube_ball_sup(u, radius):
+    mask = u.grid.xi_abs <= radius
+    mag_sq = np.zeros(int(mask.sum()))
+    for c in _components(u):
+        v = c.coeffs[mask]
+        mag_sq += v.real**2 + v.imag**2
+    return math.sqrt(float(mag_sq.max())) if mag_sq.size else 0.0
 
 
 def _cube_xi_power(grid, power):
@@ -105,9 +126,12 @@ def _assert_kernels_match_cube(u):
         assert c.max_abs_coeff() == _cube_max_abs(c)
         assert c.band_axis == _cube_band_axis(c)
         assert c.band_radius() == _cube_band_radius(c)
+        assert c.l2() == _cube_l2(c)
     assert norms.dirichlet(u) == _cube_weighted_sq(u, g.xi_sq)
     for s in (0.5, 5.0 / 6.0, 1.0, 1.5, -0.5):
         assert norms.fractional_dirichlet(u, s) == _cube_weighted_sq(u, _cube_xi_power(g, 2.0 * s))
+    for radius in (0.5, 2.0, 5.0, g.nyquist * math.sqrt(3.0)):
+        assert norms.spectral_lr_ball(u, math.inf, radius) == _cube_ball_sup(u, radius)
     window = DyadicWindow.for_grid(g)
     for k in window.indices():
         assert norms._block_l2(u, k) == _cube_block_l2(u, k)
@@ -306,6 +330,9 @@ def test_stored_support_matches_dense_cube(n, real):
     cubes = [_random_cube(n, 10 * n + i, c, real) for i, c in enumerate(counts)]
     for cube, other in zip(cubes, cubes[1:] + cubes[:1]):
         (s, d), (s2, d2) = _stored_and_dense(g, cube, real), _stored_and_dense(g, other, real)
+        for at in (s2.support, np.union1d(s.support, s2.support), np.arange(0, n**3, 7)):
+            assert np.array_equal(s._at(at), cube.reshape(-1)[at])
+        assert "coeffs" not in s.__dict__
         assert np.array_equal(s.coeffs, cube)
         assert np.array_equal(spectral.transform_inverse(s), spectral.transform_inverse(d))
         for x, y in ((s, s2), (s, d2), (d, s2)):
@@ -349,3 +376,47 @@ def test_band_product_at_128_allocates_no_cube():
         tracemalloc.stop()
     assert peak < 16 * g.n**3  # one complex n^3 cube, 32 MiB
     assert all("coeffs" not in x.__dict__ for x in (f, h, p))
+
+
+def test_band_norms_at_128_allocate_no_cube():
+    g = TorusGrid(128, TWO_PI)
+    warm = forge.scalar_band(g, 1, (2, 2))
+    norms.sobolev_norm(warm, 5.0 / 6.0), norms.dirichlet(warm)  # lattice geometry, once per grid
+    f = forge.scalar_band(g, 5, (2, 2))
+    tracemalloc.start()
+    try:
+        norms.sobolev_norm(f, 5.0 / 6.0), norms.dirichlet(f), f.l2()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # a float n^3 cube is 16 MiB
+    assert "coeffs" not in f.__dict__
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_support_sums_within_summation_bound_of_cube_sums(n):
+    """A sum over a small support adds only its nonzero terms, the zero-filled
+    cube sum adds the same terms in another grouping: both are within
+    gamma_{m-1} sum|x_i| of the exact sum of m terms (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, section 4.2)."""
+    g = TorusGrid(n, TWO_PI)
+    u = suites._window_field(g, 3)
+    narrow = forge.generate(g, forge.SpectrumSpec("white-band", seed=4, band=(1, 2)))
+    fields = [u, narrow, dyadic.lowpass(u, 2), dyadic.block(u, 1), dyadic.tail(narrow, 2)]
+    comps = [c for f in fields for c in f.components]
+    assert any(isinstance(c.active, np.ndarray) for c in comps)
+    u_round = np.finfo(float).eps / 2
+    weights = [np.ones((n,) * 3), g.xi_sq, _cube_xi_power(g, 5.0 / 3.0), _cube_xi_power(g, -1.0)]
+    weights += [_multiplier(g, k, k + 1, DEFAULT_PROFILE) ** 2 for k in DyadicWindow.for_grid(g).indices()]
+    for c in comps:
+        m = max(c.support.size - 1, 0)
+        gamma = m * u_round / (1 - m * u_round)
+        mag_sq = c.coeffs.real**2 + c.coeffs.imag**2
+        for w in weights:
+            got = norms._spectral_weighted_sq(c, lambda grid, at, w=w: w.reshape(-1)[at])
+            terms = w * mag_sq
+            old = float(np.sum(terms)) * g.spectral_cell
+            bound = (2 * gamma + 4 * u_round) * math.fsum(terms.ravel()) * g.spectral_cell
+            assert abs(got - old) <= bound
+        old_l2 = math.sqrt(float(np.vdot(c.coeffs, c.coeffs).real) * g.spectral_cell)
+        assert abs(c.l2() - old_l2) <= (gamma + 4 * u_round) * old_l2
