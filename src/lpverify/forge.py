@@ -31,6 +31,7 @@ from .spectral import (
     TorusGrid,
     VectorField,
     _leray_modes,
+    _xi_at,
     fractional_laplacian,
     inverse_fractional_laplacian,
     leray_project,
@@ -132,16 +133,17 @@ def generate(grid: TorusGrid, spec: SpectrumSpec) -> VectorField:
     return _random_band(grid, spec)
 
 
-def _paint(grid: TorusGrid, entries: dict[tuple[int, int, int], complex]) -> np.ndarray:
-    """Place f_hat values at integer modes together with conjugate partners."""
+def _paint(grid: TorusGrid, entries: dict[tuple[int, int, int], complex]) -> SpectralField:
+    """The real field with the f_hat values at integer modes together with
+    their conjugate partners, stored on its support."""
     n = grid.n
-    coeffs = np.zeros((n, n, n), dtype=np.complex128)
+    acc: dict[int, complex] = {}
     for m, v in entries.items():
-        i = tuple(mi % n for mi in m)
-        j = tuple((-mi) % n for mi in m)
-        coeffs[i] += v
-        coeffs[j] += np.conj(v)
-    return coeffs
+        for mode, c in ((m, v), (tuple(-mi for mi in m), np.conj(v))):
+            i = ((mode[0] % n) * n + mode[1] % n) * n + mode[2] % n
+            acc[i] = acc.get(i, 0.0) + c
+    at = np.array(sorted(acc), dtype=np.intp)
+    return SpectralField.on_support(grid, at, np.array([acc[i] for i in at], dtype=np.complex128))
 
 
 def harmonic(
@@ -150,20 +152,15 @@ def harmonic(
     """Exactly painted scalar field A sin(xi.x + phase) for a lattice mode."""
     amp = amplitude * grid.box_length**3 / FOURIER_NORM
     v = amp * np.exp(1j * phase) / 2j
-    return SpectralField(grid, _paint(grid, {mode: v}))
+    return _paint(grid, {mode: v})
 
 
 def _single_mode(grid: TorusGrid, spec: SpectrumSpec) -> VectorField:
     # A sin(xi.x + phase) along the polarization axis
     amp = spec.amplitude * grid.box_length**3 / FOURIER_NORM
     v = amp * np.exp(1j * spec.phase) / 2j
-    comps = []
-    for axis in range(3):
-        if axis == spec.polarization:
-            coeffs = _paint(grid, {spec.mode: v})
-        else:
-            coeffs = np.zeros((grid.n,) * 3, dtype=np.complex128)
-        comps.append(SpectralField(grid, coeffs))
+    comps = (_paint(grid, {spec.mode: v}) if axis == spec.polarization else SpectralField.zeros(grid)
+             for axis in range(3))
     return VectorField(tuple(comps), div_free=True)  # type: ignore[arg-type]
 
 
@@ -180,8 +177,8 @@ def taylor_green(grid: TorusGrid, amplitude: float = 1.0) -> VectorField:
                 # sin factors contribute s/(i), cos factors 1
                 ex[m] = base * sx / 1j
                 ey[m] = -base * sy / 1j
-    cx = SpectralField(grid, _paint(grid, {m: v / 2 for m, v in ex.items()}))
-    cy = SpectralField(grid, _paint(grid, {m: v / 2 for m, v in ey.items()}))
+    cx = _paint(grid, {m: v / 2 for m, v in ex.items()})
+    cy = _paint(grid, {m: v / 2 for m, v in ey.items()})
     cz = SpectralField.zeros(grid)
     return VectorField((cx, cy, cz), div_free=True)
 
@@ -223,8 +220,7 @@ def _random_band(grid: TorusGrid, spec: SpectrumSpec) -> VectorField:
     power = spec.kind == "power-law"
     slope = -(spec.alpha + 1.5) if power else 0.0
     support, vals = _band_support(grid, spec.band, slope, spec.seed, (1, 2, 3))  # type: ignore[arg-type]
-    xi = [grid.xi_component(a).ravel()[i] for a, i in enumerate(np.unravel_index(support, (grid.n,) * 3))]
-    vals = _leray_modes(vals, xi, np.take(grid.xi_sq, support))
+    vals = _leray_modes(vals, _xi_at(grid, support), np.take(grid.xi_sq, support))
     targets = {k: spec.amplitude * math.ldexp(1.0, k) ** (-spec.alpha) if power else spec.amplitude
                for k in range(k_lo, k_hi + 1)}
     # band-target sweeps: a radial correction, which keeps the field solenoidal,

@@ -34,7 +34,7 @@ import numpy as np
 from . import dyadic, norms, products
 from .dyadic import DyadicWindow
 from .errors import FieldError, GridError, WindowError
-from .spectral import SpectralField, VectorField, _xi_power, gradient
+from .spectral import SpectralField, VectorField, _gather, _xi_power, gradient
 
 __all__ = [
     "TrilinearLedger",
@@ -928,11 +928,12 @@ def _energy_balance_sweep(u: VectorField, f: VectorField, s, ks) -> list[EnergyB
 
 
 def _frac_pairing(a: VectorField, b: VectorField, s: float) -> float:
-    w = _xi_power(a.grid, 2.0 * s)
+    g = a.grid
     total = 0.0
     for ca, cb in zip(a.components, b.components):
-        total += float(np.sum(w * (ca.coeffs * np.conj(cb.coeffs)).real))
-    return total * a.grid.spectral_cell
+        at, (va, vb) = _gather([ca, cb])
+        total += float(np.sum(_xi_power(g, 2.0 * s, at).reshape(va.shape) * (va * np.conj(vb)).real))
+    return total * g.spectral_cell
 
 
 def _l2_pairing(a: VectorField, b: VectorField) -> float:
@@ -941,5 +942,6 @@ def _l2_pairing(a: VectorField, b: VectorField) -> float:
         raise GridError("paired fields live on different grids")
     total = 0.0
     for ca, cb in zip(a.components, b.components):
-        total += float(np.vdot(cb.coeffs, ca.coeffs).real)
+        at, (va, vb) = _gather([ca, cb])
+        total += float(np.vdot(vb, va).real)
     return total * g.spectral_cell

@@ -20,11 +20,15 @@ import scipy.fft as _fft
 
 from .errors import AliasingGuardError, GridError
 from .spectral import (
-    FOURIER_NORM,
     SpectralField,
     TorusGrid,
     VectorField,
+    _common_axis,
+    _gather,
+    _half_spectrum,
     _scan_support,
+    _take,
+    _xi_at,
     fft_workers,
     gradient,
     transform_forward,
@@ -40,17 +44,6 @@ __all__ = [
 ]
 
 
-def _common_axis(src: TorusGrid, dst: TorusGrid) -> tuple[slice, slice]:
-    """Axis slices holding the modes 0..h and -h..-1, h = min(n_src, n_dst)/2 - 1.
-
-    They index m % n on either grid, so one slice pair serves both sides.
-    """
-    if dst.box_length != src.box_length:
-        raise GridError("grids cover different boxes")
-    h = min(src.n, dst.n) // 2 - 1
-    return slice(0, h + 1), slice(-h, None)
-
-
 def _require_clean_band(u: SpectralField, dst: TorusGrid) -> None:
     n = min(u.grid.n, dst.n)
     if u.band_axis > n // 2 - 1:
@@ -61,28 +54,13 @@ def _require_clean_band(u: SpectralField, dst: TorusGrid) -> None:
 
 
 def samples_on(u: SpectralField, dst: TorusGrid) -> np.ndarray:
-    """Sample the trigonometric field on another grid of the same box (real fields).
-
-    A field with a known small support scatters its kz >= 0 modes, scaled,
-    straight into the destination's half cube.
-    """
-    g = u.grid
-    if dst == g:
+    """Sample the trigonometric field on another grid of the same box (real
+    fields), through the same half-spectrum scatter as ``transform_inverse``."""
+    if dst == u.grid:
         return u.samples()
-    ax = _common_axis(g, dst)
+    _common_axis(u.grid, dst)
     _require_clean_band(u, dst)
-    half = np.zeros((dst.n, dst.n, dst.n // 2 + 1), dtype=np.complex128)
-    scale = FOURIER_NORM / dst.cell_volume
-    at = u.active
-    if isinstance(at, slice):
-        for sx, sy in itertools.product(ax, repeat=2):
-            half[sx, sy, ax[0]] = u.coeffs[sx, sy, ax[0]]
-        half = half * scale
-    else:  # the clean band keeps every mode inside the common axis range
-        mx, my, mz = (g.modes[i] for i in np.unravel_index(at, (g.n,) * 3))
-        keep = mz >= 0
-        half[mx[keep], my[keep], mz[keep]] = u.values[keep] * scale
-    return _fft.irfftn(half, s=(dst.n,) * 3, workers=fft_workers())
+    return _fft.irfftn(_half_spectrum(u, dst), s=(dst.n,) * 3, workers=fft_workers())
 
 
 def restrict_to(samples: np.ndarray, eval_grid: TorusGrid, out: TorusGrid) -> SpectralField:
@@ -254,12 +232,18 @@ def pressure_from_velocity(u: VectorField) -> SpectralField:
 
 
 def _pressure(grid: TorusGrid, stress) -> SpectralField:
-    """The pressure of ``pressure_from_velocity`` from the pairs of ``_stress``."""
-    acc = np.zeros((grid.n,) * 3, dtype=np.complex128)
+    """The pressure of ``pressure_from_velocity`` from the pairs of ``_stress``.
+
+    The sum xi (x) xi : T_hat grows on the union of the products' ``active``
+    sets, one product at a time, so no product is held past its turn.
+    """
+    acc = SpectralField.zeros(grid)
     for (i, j), t in stress:
-        w = grid.xi_component(i) * grid.xi_component(j)
-        acc += (w if i == j else 2.0 * w) * t.coeffs
+        at, (v,) = _gather([t])
+        xi = _xi_at(grid, at)
+        w = xi[i] * xi[j]
+        acc = acc + t.with_values((w if i == j else 2.0 * w) * v)
+    xi_sq = _take(grid.xi_sq, acc.active)
     with np.errstate(invalid="ignore", divide="ignore"):
-        coeffs = np.where(grid.xi_sq > 0, -acc / grid.xi_sq, 0.0)
-    coeffs[0, 0, 0] = 0.0
-    return SpectralField(grid, coeffs, real_valued=True, mean_zero=True)
+        vals = np.where(xi_sq > 0, -acc.values / xi_sq, 0.0)
+    return acc.with_values(vals, real_valued=True, mean_zero=True)

@@ -23,21 +23,23 @@ snapshot) scans its cube when the support is first asked for.
 Storage follows one rule.  A field built on a known support of at most
 1/8 of the cube (``_SPARSE``) holds only that support and its values;
 every other field holds its n^3 complex cube.  ``coeffs`` is the cube
-either way: a field stored on its support builds it on first read
-(snapshots, cube arithmetic) and keeps it.  Coefficient kernels (filters,
-sums, gradients, maxima, band radii, block norms, Sobolev weights, the
-L^2 norm and pairings) read and write only the ``active`` indices: a
-known support covering at most 1/8 of the cube, else the whole cube.
-The inverse transforms scatter a small support's scaled values straight
-into the half cube the real inverse FFT reads.  Products and maxima are
-exact, so they equal the full-cube evaluation bit for bit.  A sum runs
-over the ``active`` set in ascending flat order, so over a small support
-it adds only the nonzero terms and differs from a full-cube sum at
-rounding level.
+either way: a field stored on its support builds it on first read (a
+snapshot, a test) and keeps it.  Every coefficient kernel (filters, sums,
+gradients, the Leray projection, the pressure, fractional powers, maxima,
+band radii, block norms, Sobolev weights, the L^2 norm and pairings)
+reads and writes only the ``active`` indices, or the union of its
+operands' ``active`` sets: a known support covering at most 1/8 of the
+cube, else the whole cube.  The inverse transforms scatter a small
+support's scaled values straight into the half cube the real inverse FFT
+reads.  Products and maxima are exact, so they equal the full-cube
+evaluation bit for bit.  A sum runs over the ``active`` set in ascending
+flat order, so over a small support it adds only the nonzero terms and
+differs from a full-cube sum at rounding level.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -252,6 +254,8 @@ class SpectralField:
         support reads its values there and keeps no cube."""
         if self._values is None:
             return _take(self.coeffs, at)
+        if at is self.support:
+            return self._values
         if isinstance(at, slice):
             return _scatter(self.grid, self.support, self._values).reshape(-1)
         out = np.zeros(at.size, dtype=np.complex128)
@@ -264,16 +268,10 @@ class SpectralField:
 
     # -- basic algebra (spectral side) --------------------------------------
 
-    def with_coeffs(self, coeffs: np.ndarray, **flags) -> "SpectralField":
-        kw = dict(real_valued=self.real_valued, mean_zero=self.mean_zero)
-        kw.update(flags)
-        return SpectralField(self.grid, coeffs, **kw)
-
-    def with_values(self, values: np.ndarray) -> "SpectralField":
-        """This field's flags, with ``values`` at ``active`` and zeros elsewhere."""
-        return SpectralField.on_support(
-            self.grid, self.active, values, real_valued=self.real_valued, mean_zero=self.mean_zero
-        )
+    def with_values(self, values: np.ndarray, **flags) -> "SpectralField":
+        """``values`` at ``active``, zeros elsewhere; this field's flags but ``flags``."""
+        kw = {"real_valued": self.real_valued, "mean_zero": self.mean_zero, **flags}
+        return SpectralField.on_support(self.grid, self.active, values, **kw)
 
     def apply_multiplier(self, mult: np.ndarray) -> "SpectralField":
         """Multiply by a real symbol given at ``active`` (keeps symmetry)."""
@@ -391,6 +389,17 @@ def _union(a, b, size: int):
     return both[keep]
 
 
+def _common_axis(src: TorusGrid, dst: TorusGrid) -> tuple[slice, slice]:
+    """Axis slices holding the modes 0..h and -h..-1, h = min(n_src, n_dst)/2 - 1.
+
+    They index m % n on either grid, so one slice pair serves both sides.
+    """
+    if dst.box_length != src.box_length:
+        raise GridError("grids cover different boxes")
+    h = min(src.n, dst.n) // 2 - 1
+    return slice(0, h + 1), slice(-h, None)
+
+
 def _reflect_index(n: int) -> np.ndarray:
     return (-np.arange(n)) % n
 
@@ -456,11 +465,7 @@ class VectorField:
 
     def divergence_defect(self) -> float:
         """max |xi . u_hat(xi)| over the lattice."""
-        g = self.grid
-        acc = np.zeros((g.n,) * 3, dtype=np.complex128)
-        for axis, c in enumerate(self.components):
-            acc += g.xi_component(axis) * c.coeffs
-        return float(np.max(np.abs(acc)))
+        return divergence(self).max_abs_coeff()
 
     def check_div_free(self, rtol: float = 1e-12) -> bool:
         scale = max(c.max_abs_coeff() for c in self.components) * float(
@@ -504,26 +509,39 @@ def transform_forward(grid: TorusGrid, samples: np.ndarray) -> SpectralField:
 def transform_inverse(u: SpectralField) -> np.ndarray:
     """Spectral coefficients -> physical samples.
 
-    A field with a known small support scatters its scaled values straight
-    into the array the inverse FFT reads (the kz >= 0 half cube of a real
-    field), with no n^3 coefficient cube.
+    A real field goes through ``_half_spectrum``, so a known small support
+    builds no n^3 coefficient cube.
     """
-    g = u.grid
-    n = g.n
-    scale = FOURIER_NORM / g.cell_volume
-    at = u.active
-    if isinstance(at, slice):
-        if u.real_valued:
-            half = u.coeffs[:, :, : n // 2 + 1] * scale
-            return _fft.irfftn(half, s=(n,) * 3, workers=_fft_workers)
-        return _fft.ifftn(u.coeffs * scale, workers=_fft_workers)
+    n = u.grid.n
     if not u.real_valued:
-        return _fft.ifftn(_scatter(g, at, u.values * scale), workers=_fft_workers)
+        cube = u._at(slice(None)).reshape((n,) * 3)
+        return _fft.ifftn(cube * (FOURIER_NORM / u.grid.cell_volume), workers=_fft_workers)
+    return _fft.irfftn(_half_spectrum(u, u.grid), s=(n,) * 3, workers=_fft_workers)
+
+
+def _half_spectrum(u: SpectralField, dst: TorusGrid) -> np.ndarray:
+    """The scaled kz >= 0 half cube ``irfftn`` reads to sample the real field
+    u on ``dst`` (u's grid, or one of the same box that u's band fits): a
+    small support is scattered by flat index, a cube sliced or copied."""
+    g, n = u.grid, dst.n
+    scale = FOURIER_NORM / dst.cell_volume
+    at = u.active
+    if isinstance(at, slice) and dst == g:
+        return u.coeffs[:, :, : n // 2 + 1] * scale
     half = np.zeros((n, n, n // 2 + 1), dtype=np.complex128)
-    kz = at % n
+    if isinstance(at, slice):
+        ax = _common_axis(g, dst)
+        for sx, sy in itertools.product(ax, repeat=2):
+            half[sx, sy, ax[0]] = u.coeffs[sx, sy, ax[0]]
+        half *= scale
+        return half
+    ij, kz = np.divmod(at, g.n)  # ij = ix * n + iy on u's grid
+    if dst != g:  # each axis index moves to its mode's index on dst
+        lift = g.modes % n
+        ij, kz = lift[ij // g.n] * n + lift[ij % g.n], lift[kz]
     keep = kz <= n // 2
-    half.reshape(-1)[at[keep] // n * (n // 2 + 1) + kz[keep]] = u.values[keep] * scale
-    return _fft.irfftn(half, s=(n,) * 3, workers=_fft_workers)
+    half.reshape(-1)[ij[keep] * (n // 2 + 1) + kz[keep]] = u.values[keep] * scale
+    return half
 
 
 def _mirror_half_spectrum(half: np.ndarray, n: int) -> np.ndarray:
@@ -563,10 +581,10 @@ def inverse_fractional_laplacian(u: SpectralField, s: float) -> SpectralField:
     return _apply_xi_power(u, -2.0 * s)
 
 
-def _xi_power(grid: TorusGrid, power: float, at=None) -> np.ndarray:
-    """The symbol |xi|^power on the lattice, or at the flat indices ``at``
-    (ascending, or ``slice(None)``), with the zero mode set to 0."""
-    xi_sq = grid.xi_sq if at is None else _take(grid.xi_sq, at)
+def _xi_power(grid: TorusGrid, power: float, at) -> np.ndarray:
+    """The symbol |xi|^power at the flat indices ``at`` (ascending, or
+    ``slice(None)`` for the flattened cube), with the zero mode set to 0."""
+    xi_sq = _take(grid.xi_sq, at)
     with np.errstate(divide="ignore"):
         w = xi_sq ** (power / 2.0)
     if w.size and (not isinstance(at, np.ndarray) or at[0] == 0):
@@ -575,18 +593,26 @@ def _xi_power(grid: TorusGrid, power: float, at=None) -> np.ndarray:
 
 
 def _apply_xi_power(u: SpectralField, power: float) -> SpectralField:
-    out = u.coeffs * _xi_power(u.grid, power)
-    out[0, 0, 0] = 0.0
-    return u.with_coeffs(out, mean_zero=True)
+    return u.with_values(u.values * _xi_power(u.grid, power, u.active), mean_zero=True)
 
 
-def _gradient_symbols(grid: TorusGrid, at) -> list[np.ndarray]:
-    """i*xi_j for j = 0, 1, 2: broadcast to the cube for ``slice(None)``,
-    else at the flat indices ``at``."""
-    syms = [1j * grid.xi_component(axis) for axis in range(3)]
+def _xi_at(grid: TorusGrid, at) -> list[np.ndarray]:
+    """xi_j for j = 0, 1, 2 at the flat indices ``at``; for ``slice(None)``,
+    broadcast to the cube (the shape of ``_gather``'s cubes)."""
+    xi = [grid.xi_component(axis) for axis in range(3)]
     if isinstance(at, slice):
-        return syms
-    return [s.reshape(-1)[i] for s, i in zip(syms, np.unravel_index(at, (grid.n,) * 3))]
+        return xi
+    return [x.reshape(-1)[i] for x, i in zip(xi, np.unravel_index(at, (grid.n,) * 3))]
+
+
+def _gather(fields) -> tuple:
+    """The union ``at`` of the fields' ``active`` sets, and each field's
+    coefficients there: 1-D arrays, or n^3 cubes when ``at`` is the whole
+    cube."""
+    n = fields[0].grid.n
+    at = reduce(lambda a, b: _union(a, b, n**3), (f.active for f in fields))
+    shape = (n,) * 3 if isinstance(at, slice) else at.shape
+    return at, [f._at(at).reshape(shape) for f in fields]
 
 
 def gradient(u: SpectralField) -> VectorField:
@@ -600,10 +626,9 @@ def gradient(u: SpectralField) -> VectorField:
     """
     g = u.grid
     real = u.real_valued and u.band_axis < g.n // 2
-    at = u.active
-    vals = u.coeffs if isinstance(at, slice) else u.values
-    comps = (SpectralField.on_support(g, at, vals * s, real_valued=real, mean_zero=True)
-             for s in _gradient_symbols(g, at))
+    at, (vals,) = _gather([u])
+    comps = (SpectralField.on_support(g, at, vals * (1j * x), real_valued=real, mean_zero=True)
+             for x in _xi_at(g, at))
     return VectorField(tuple(comps))  # type: ignore[arg-type]
 
 
@@ -611,31 +636,26 @@ def divergence(u: VectorField) -> SpectralField:
     """sum_j i*xi_j * u_j_hat, on the union of the components' known small
     supports when it is small too, else on the cube."""
     g = u.grid
-    at = reduce(lambda a, b: _union(a, b, g.n**3), (c.active for c in u.components))
-    acc = np.zeros((g.n,) * 3 if isinstance(at, slice) else at.size, dtype=np.complex128)
-    for c, s in zip(u.components, _gradient_symbols(g, at)):
-        acc += c._at(at).reshape(acc.shape) * s
+    at, vals = _gather(u.components)
+    acc = sum(v * (1j * x) for v, x in zip(vals, _xi_at(g, at)))
     real = all(c.real_valued and c.band_axis < g.n // 2 for c in u.components)
     return SpectralField.on_support(g, at, acc, real_valued=real, mean_zero=True)
 
 
 def leray_project(u: VectorField) -> VectorField:
-    """Remove the gradient part: u_hat -> u_hat - xi (xi . u_hat)/|xi|^2."""
+    """Remove the gradient part: u_hat -> u_hat - xi (xi . u_hat)/|xi|^2,
+    on the union of the components' ``active`` sets."""
     g = u.grid
-    xi = [g.xi_component(axis) for axis in range(3)]
-    comps = []
-    for c, out in zip(u.components, _leray_modes([c.coeffs for c in u.components], xi, g.xi_sq)):
-        out[0, 0, 0] = 0.0
-        comps.append(SpectralField(g, out, real_valued=c.real_valued, mean_zero=True))
+    at, vals = _gather(u.components)
+    xi_sq = _take(g.xi_sq, at).reshape(vals[0].shape)
+    comps = (SpectralField.on_support(g, at, v, real_valued=c.real_valued, mean_zero=True)
+             for c, v in zip(u.components, _leray_modes(vals, _xi_at(g, at), xi_sq)))
     return VectorField(tuple(comps), div_free=True)  # type: ignore[arg-type]
 
 
 def _leray_modes(coeffs: list, xi: list, xi_sq: np.ndarray) -> list:
     """The projection mode by mode (0 at xi = 0) on three coefficient arrays;
     ``xi`` and ``xi_sq`` broadcast to them (lattice cubes or a list of modes)."""
-    dot = np.zeros(np.shape(coeffs[0]), dtype=np.complex128)
-    for x, c in zip(xi, coeffs):
-        dot += x * c
     with np.errstate(invalid="ignore", divide="ignore"):
-        dot = np.where(xi_sq > 0, dot / xi_sq, 0.0)
-    return [c - x * dot for x, c in zip(xi, coeffs)]
+        dot = sum(x * c for x, c in zip(xi, coeffs)) / xi_sq
+    return [np.where(xi_sq > 0, c - x * dot, 0.0) for x, c in zip(xi, coeffs)]

@@ -189,7 +189,7 @@ def _cube_generate(grid, spec):
             num += w2 * rk
             den += w2
         corr = np.where(den > 0, num / np.maximum(den, 1e-300), 1.0)
-        u = u.map(lambda c: c.with_coeffs(c.coeffs * corr))
+        u = u.map(lambda c: SpectralField(grid, c.coeffs * corr, c.real_valued, c.mean_zero))
     return u
 
 
