@@ -34,7 +34,7 @@ import numpy as np
 from . import dyadic, norms, products
 from .dyadic import DyadicWindow
 from .errors import FieldError, GridError, WindowError
-from .spectral import SpectralField, VectorField, _gather, _xi_power, gradient
+from .spectral import SpectralField, VectorField, _re_dot, _union, _xi_power, gradient
 
 __all__ = [
     "TrilinearLedger",
@@ -654,7 +654,7 @@ def _support_audit(ws: _Workspace) -> SupportAuditReport:
             norm = grad_scale * p.l2() + 1e-300
             for comps in grad_su:
                 for gc in comps:
-                    val = abs(float(np.vdot(gc.values, p._at(gc.active)).real) * g.spectral_cell)
+                    val = abs(_re_dot(gc.values, p._at(gc.active)) * g.spectral_cell)
                     pairing = max(pairing, val / norm)
         rows.append(AuditRow(term, l, lo, hi, max_out, pairing, disjoint, scale))
 
@@ -928,20 +928,17 @@ def _energy_balance_sweep(u: VectorField, f: VectorField, s, ks) -> list[EnergyB
 
 
 def _frac_pairing(a: VectorField, b: VectorField, s: float) -> float:
-    g = a.grid
-    total = 0.0
-    for ca, cb in zip(a.components, b.components):
-        at, (va, vb) = _gather([ca, cb])
-        total += float(np.sum(_xi_power(g, 2.0 * s, at).reshape(va.shape) * (va * np.conj(vb)).real))
-    return total * g.spectral_cell
+    return _l2_pairing(a, b, lambda g, at: _xi_power(g, 2.0 * s, at))
 
 
-def _l2_pairing(a: VectorField, b: VectorField) -> float:
+def _l2_pairing(a: VectorField, b: VectorField, weight=lambda g, at: 1.0) -> float:
+    """Sum of weight * Re(a_hat conj b_hat) over the union of each component
+    pair's ``active`` sets, times the spectral cell; ``weight(grid, at)``."""
     g = a.grid
     if b.grid != g:
         raise GridError("paired fields live on different grids")
     total = 0.0
     for ca, cb in zip(a.components, b.components):
-        at, (va, vb) = _gather([ca, cb])
-        total += float(np.vdot(vb, va).real)
+        at = _union(ca.active, cb.active, g.n**3)
+        total += _re_dot(ca._at(at), cb._at(at), weight(g, at))
     return total * g.spectral_cell

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dyadic
 from .errors import FieldError
-from .spectral import SpectralField, VectorField, _take, _union, _xi_power
+from .spectral import SpectralField, VectorField, _re_dot, _take, _union, _xi_power
 
 __all__ = [
     "NormReport",
@@ -81,8 +81,7 @@ def _spectral_weighted_sq(u: SpectralField | VectorField, weight) -> float:
     g = comps[0].grid
     total = 0.0
     for c in comps:
-        at, v = c.active, c.values
-        total += float(np.sum(weight(g, at) * (v.real**2 + v.imag**2)))
+        total += _re_dot(c.values, c.values, weight(g, c.active))
     return total * g.spectral_cell
 
 

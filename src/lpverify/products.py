@@ -58,7 +58,7 @@ def samples_on(u: SpectralField, dst: TorusGrid) -> np.ndarray:
     fields), through the same half-spectrum scatter as ``transform_inverse``."""
     if dst == u.grid:
         return u.samples()
-    _common_axis(u.grid, dst)
+    _common_axis(u.grid, dst)  # raises unless the two grids cover one box
     _require_clean_band(u, dst)
     return _fft.irfftn(_half_spectrum(u, dst), s=(dst.n,) * 3, workers=fft_workers())
 

@@ -34,7 +34,9 @@ support's scaled values straight into the half cube the real inverse FFT
 reads.  Products and maxima are exact, so they equal the full-cube
 evaluation bit for bit.  A sum runs over the ``active`` set in ascending
 flat order, so over a small support it adds only the nonzero terms and
-differs from a full-cube sum at rounding level.
+differs from a full-cube sum at rounding level.  Every sum of squares and
+every pairing goes through ``_re_dot``, which calls no BLAS routine, so its
+bits do not depend on how many threads BLAS may use.
 """
 
 from __future__ import annotations
@@ -279,14 +281,9 @@ class SpectralField:
 
     def _combine(self, other: "SpectralField", op) -> "SpectralField":
         _check_same_grid(self, other)
-        at = _union(self.active, other.active, self.grid.n**3)
-        return SpectralField.on_support(
-            self.grid,
-            at,
-            op(self._at(at), other._at(at)),
-            real_valued=self.real_valued and other.real_valued,
-            mean_zero=self.mean_zero and other.mean_zero,
-        )
+        at, (a, b) = _gather([self, other])
+        real, mean_zero = self.real_valued and other.real_valued, self.mean_zero and other.mean_zero
+        return SpectralField.on_support(self.grid, at, op(a, b), real_valued=real, mean_zero=mean_zero)
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         return self._combine(other, np.add)
@@ -309,8 +306,7 @@ class SpectralField:
 
     def l2(self) -> float:
         """L^2 norm via the spectral quadrature, summed over ``active``."""
-        v = self.values
-        return math.sqrt(float(np.vdot(v, v).real) * self.grid.spectral_cell)
+        return math.sqrt(_re_dot(self.values, self.values) * self.grid.spectral_cell)
 
     def max_abs_coeff(self) -> float:
         return float(np.max(np.abs(self.values), initial=0.0))
@@ -368,6 +364,12 @@ def _scatter(grid: TorusGrid, at: np.ndarray, values: np.ndarray) -> np.ndarray:
     cube = np.zeros((grid.n,) * 3, dtype=np.complex128)
     cube.reshape(-1)[at] = values
     return cube
+
+
+def _re_dot(a: np.ndarray, b: np.ndarray, weight=1.0) -> float:
+    """Sum of weight * Re(a conj b) = weight * (a.re b.re + a.im b.im) in array
+    order, by numpy alone: a BLAS dot would split the sum by its thread count."""
+    return float(np.sum(weight * (a.real * b.real + a.imag * b.imag)))
 
 
 def _union(a, b, size: int):

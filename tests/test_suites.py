@@ -1,7 +1,11 @@
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -94,6 +98,23 @@ def test_thread_count_does_not_change_report():
     assert [c.row() for c in one.checks] == [c.row() for c in two.checks]
     assert one.ledger_rows == two.ledger_rows
     assert one.series == two.series
+
+
+def test_report_does_not_depend_on_blas_threads(tmp_path):
+    """Sums of squares and pairings call no BLAS routine, so the number of
+    threads BLAS may split a sum over cannot change a report."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    checks = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = tmp_path / threads
+        argv = ["run", "--suite", "energy-balance", "--n", "32", "--seed", "3", "--out", str(out)]
+        code = f"import sys; from lpverify.cli import main; sys.exit(main({argv!r}))"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        checks.append(json.loads((out / "report.json").read_text())["checks"])
+    assert checks[0] == checks[1]
 
 
 def test_decay_series_artifacts(tmp_path):

@@ -9,17 +9,19 @@ arrays): the one raw-bit difference allowed is +0.0 where a cube product
 stored -0.0 off the support, and the two compare equal.
 """
 
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 
-from lpverify import TorusGrid, VectorField, dyadic, forge, norms, products, spectral, suites
+from lpverify import TorusGrid, VectorField, dyadic, forge, ledger, norms, products, spectral, suites
 from lpverify.dyadic import DEFAULT_PROFILE, DyadicWindow, _multiplier
 from lpverify.errors import AliasingGuardError
 from lpverify.snapshot import snapshot_read, snapshot_write
-from lpverify.spectral import TWO_PI, SpectralField
+from lpverify.spectral import FOURIER_NORM, TWO_PI, SpectralField
 
 
 def _components(u):
@@ -71,7 +73,7 @@ def _cube_weighted_sq(u, weight):
 
 def _cube_l2(c):
     v = _in_sum_order(c, c.coeffs)
-    return math.sqrt(float(np.vdot(v, v).real) * c.grid.spectral_cell)
+    return math.sqrt(float(np.sum(v.real * v.real + v.imag * v.imag)) * c.grid.spectral_cell)
 
 
 def _cube_ball_sup(u, radius):
@@ -317,6 +319,47 @@ def _stored_and_dense(grid, cube, real):
     return stored, SpectralField(grid, cube.copy(), **flags)
 
 
+def _parent_transform_inverse(u):
+    """The inverse transform's arithmetic before the shared half-spectrum scatter."""
+    g = u.grid
+    n = g.n
+    scale = FOURIER_NORM / g.cell_volume
+    at = u.active
+    if isinstance(at, slice):
+        if u.real_valued:
+            half = u.coeffs[:, :, : n // 2 + 1] * scale
+            return scipy.fft.irfftn(half, s=(n,) * 3)
+        return scipy.fft.ifftn(u.coeffs * scale)
+    if not u.real_valued:
+        cube = np.zeros((n,) * 3, dtype=np.complex128)
+        cube.reshape(-1)[at] = u.values * scale
+        return scipy.fft.ifftn(cube)
+    half = np.zeros((n, n, n // 2 + 1), dtype=np.complex128)
+    kz = at % n
+    keep = kz <= n // 2
+    half.reshape(-1)[at[keep] // n * (n // 2 + 1) + kz[keep]] = u.values[keep] * scale
+    return scipy.fft.irfftn(half, s=(n,) * 3)
+
+
+def _parent_samples_on(u, dst):
+    """``samples_on``'s arithmetic before the shared half-spectrum scatter."""
+    g = u.grid
+    h = min(g.n, dst.n) // 2 - 1
+    ax = (slice(0, h + 1), slice(-h, None))
+    half = np.zeros((dst.n, dst.n, dst.n // 2 + 1), dtype=np.complex128)
+    scale = FOURIER_NORM / dst.cell_volume
+    at = u.active
+    if isinstance(at, slice):
+        for sx, sy in itertools.product(ax, repeat=2):
+            half[sx, sy, ax[0]] = u.coeffs[sx, sy, ax[0]]
+        half = half * scale
+    else:
+        mx, my, mz = (g.modes[i] for i in np.unravel_index(at, (g.n,) * 3))
+        keep = mz >= 0
+        half[mx[keep], my[keep], mz[keep]] = u.values[keep] * scale
+    return scipy.fft.irfftn(half, s=(dst.n,) * 3)
+
+
 def _same(a, b):
     assert (a.real_valued, a.mean_zero) == (b.real_valued, b.mean_zero)
     assert np.array_equal(a.coeffs, b.coeffs)
@@ -334,7 +377,8 @@ def test_stored_support_matches_dense_cube(n, real):
             assert np.array_equal(s._at(at), cube.reshape(-1)[at])
         assert "coeffs" not in s.__dict__
         assert np.array_equal(s.coeffs, cube)
-        assert np.array_equal(spectral.transform_inverse(s), spectral.transform_inverse(d))
+        for x in (s, d):  # support and cube branches, real and complex fields
+            assert np.array_equal(spectral.transform_inverse(x), _parent_transform_inverse(x))
         for x, y in ((s, s2), (s, d2), (d, s2)):
             _same(x + y, d + d2)
             _same(x - y, d - d2)
@@ -355,7 +399,10 @@ def test_stored_support_samples_on_other_grids(n):
     for dst, top in ((TorusGrid(n // 2, TWO_PI), n // 4 - 1), (TorusGrid(2 * n, TWO_PI), n // 2 - 1)):
         for seed, count in enumerate((0, 1, n, n**3 // 64)):
             s, d = _stored_and_dense(g, _random_cube(n, seed, count, True, top), True)
-            assert np.array_equal(products.samples_on(s, dst), products.samples_on(d, dst))
+            want = _parent_samples_on(d, dst)
+            assert np.array_equal(_parent_samples_on(s, dst), want)
+            assert np.array_equal(products.samples_on(s, dst), want)
+            assert np.array_equal(products.samples_on(d, dst), want)
     # energy on a Nyquist plane is rejected alike
     s, d = _stored_and_dense(g, _random_cube(n, 1, n, True), True)
     for u in (s, d):
@@ -420,3 +467,151 @@ def test_support_sums_within_summation_bound_of_cube_sums(n):
             assert abs(got - old) <= bound
         old_l2 = math.sqrt(float(np.vdot(c.coeffs, c.coeffs).real) * g.spectral_cell)
         assert abs(c.l2() - old_l2) <= (gamma + 4 * u_round) * old_l2
+
+
+# -- spectral operators on the support, against the cube kernels they replaced --
+
+
+def _cube_leray(u):
+    g = u.grid
+    xi = [g.xi_component(axis) for axis in range(3)]
+    coeffs = [c.coeffs for c in u.components]
+    dot = np.zeros(np.shape(coeffs[0]), dtype=np.complex128)
+    for x, c in zip(xi, coeffs):
+        dot += x * c
+    with np.errstate(invalid="ignore", divide="ignore"):
+        dot = np.where(g.xi_sq > 0, dot / g.xi_sq, 0.0)
+    out = [c - x * dot for x, c in zip(xi, coeffs)]
+    for o in out:
+        o[0, 0, 0] = 0.0
+    return out
+
+
+def _cube_pressure(u):
+    g = u.grid
+    acc = np.zeros((g.n,) * 3, dtype=np.complex128)
+    for i, j in itertools.combinations_with_replacement(range(3), 2):
+        t = products.product(u.components[i], u.components[j])
+        w = g.xi_component(i) * g.xi_component(j)
+        acc += (w if i == j else 2.0 * w) * t.coeffs
+    with np.errstate(invalid="ignore", divide="ignore"):
+        coeffs = np.where(g.xi_sq > 0, -acc / g.xi_sq, 0.0)
+    coeffs[0, 0, 0] = 0.0
+    return coeffs
+
+
+def _cube_apply_xi_power(c, power):
+    out = c.coeffs * _cube_xi_power(c.grid, power)
+    out[0, 0, 0] = 0.0
+    return out
+
+
+def _cube_divergence_defect(u):
+    g = u.grid
+    acc = np.zeros((g.n,) * 3, dtype=np.complex128)
+    for axis, c in enumerate(u.components):
+        acc += g.xi_component(axis) * c.coeffs
+    return float(np.max(np.abs(acc)))
+
+
+def _cube_paint(grid, entries):
+    n = grid.n
+    coeffs = np.zeros((n, n, n), dtype=np.complex128)
+    for m, v in entries.items():
+        i = tuple(mi % n for mi in m)
+        j = tuple((-mi) % n for mi in m)
+        coeffs[i] += v
+        coeffs[j] += np.conj(v)
+    return coeffs
+
+
+def _dense_twin(c):
+    cube = np.zeros((c.grid.n,) * 3, dtype=np.complex128)
+    cube.reshape(-1)[c.support] = c.values
+    return SpectralField(c.grid, cube, c.real_valued, c.mean_zero)
+
+
+def _stored_vectors(g):
+    """Vector fields stored on their supports, with their dense twins: random
+    real and complex modes (some on Nyquist planes), a scalar band triple and
+    a solenoidal band."""
+    n = g.n
+    out = []
+    for real in (True, False):
+        pairs = [_stored_and_dense(g, _random_cube(n, 7 * n + a, n, real), real) for a in range(3)]
+        out.append(tuple(VectorField(comps) for comps in zip(*pairs)))
+    for u in (VectorField(tuple(forge.scalar_band(g, 5, (1, 2), salt=a) for a in (1, 2, 3))),
+              forge.generate(g, forge.SpectrumSpec("white-band", seed=2, band=(1, 2)))):
+        out.append((u, u.map(_dense_twin)))
+    for u, _ in out:
+        assert all(isinstance(c.active, np.ndarray) and "coeffs" not in c.__dict__ for c in u.components)
+    return out
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_operators_on_stored_support_match_cube_kernels(n):
+    g = TorusGrid(n, TWO_PI)
+    for u, d in _stored_vectors(g):
+        p = spectral.leray_project(u)
+        for got, want, c in zip(p.components, _cube_leray(d), u.components):
+            assert np.array_equal(got.coeffs, want)
+            assert got.real_valued == c.real_valued and got.mean_zero
+        for c, dc in zip(u.components, d.components):
+            for s in (0.5, 5.0 / 6.0, 1.0):
+                assert np.array_equal(spectral.fractional_laplacian(c, s).coeffs, _cube_apply_xi_power(dc, 2.0 * s))
+                got = spectral.inverse_fractional_laplacian(c, s).coeffs
+                assert np.array_equal(got, _cube_apply_xi_power(dc, -2.0 * s))
+        assert u.divergence_defect() == _cube_divergence_defect(d)
+        if all(c.real_valued for c in u.components) and u.band_axis() < n // 2:
+            assert np.array_equal(products.pressure_from_velocity(u).coeffs, _cube_pressure(d))
+        assert all("coeffs" not in c.__dict__ for c in u.components)
+
+
+def test_painters_store_their_support(grid32):
+    g = grid32
+    cases = []
+    for mode, a, phase in (((0, 0, 1), 1.0, 0.0), ((1, -2, 3), 0.7, 0.3), ((0, 0, 16), 1.0, 0.5)):
+        v = a * g.box_length**3 / FOURIER_NORM * np.exp(1j * phase) / 2j
+        cases.append(([forge.harmonic(g, mode, a, phase)], [_cube_paint(g, {mode: v})]))
+    spec = forge.SpectrumSpec("single-mode", amplitude=0.5, mode=(0, 1, 2), polarization=0, phase=0.2)
+    v = 0.5 * g.box_length**3 / FOURIER_NORM * np.exp(1j * 0.2) / 2j
+    zero = np.zeros((g.n,) * 3, dtype=np.complex128)
+    cases.append((forge.generate(g, spec).components, [_cube_paint(g, {(0, 1, 2): v}), zero, zero]))
+    base = 0.3 * g.box_length**3 / FOURIER_NORM / 8.0
+    signs = list(itertools.product((1, -1), repeat=3))
+    ex = {m: base * m[0] / 1j for m in signs}
+    ey = {m: -base * m[1] / 1j for m in signs}
+    tg = [_cube_paint(g, {m: v / 2 for m, v in e.items()}) for e in (ex, ey)]
+    cases.append((forge.taylor_green(g, 0.3).components, tg + [zero]))
+    for comps, cubes in cases:
+        for c, cube in zip(comps, cubes):
+            assert isinstance(c.active, np.ndarray) and "coeffs" not in c.__dict__
+            _assert_exact_support(c)
+            assert np.array_equal(c.coeffs, cube)
+
+
+def test_operators_build_no_cube_of_a_stored_field(monkeypatch):
+    """The projection, the pressure, fractional powers, the energy-balance
+    pairings and the divergence defect read stored fields on their supports:
+    while the union of their operands' supports stays small, they scatter
+    nothing into a cube."""
+    g = TorusGrid(64, TWO_PI)
+    u = VectorField(tuple(forge.scalar_band(g, 3, (1, 1), salt=a) for a in (1, 2, 3)))
+    v = forge.generate(g, forge.SpectrumSpec("white-band", seed=2, band=(1, 2)))
+    built = []
+    scatter = spectral._scatter
+    monkeypatch.setattr(spectral, "_scatter", lambda grid, at, values: built.append(at.size) or scatter(grid, at, values))
+    outs = [spectral.leray_project(u), spectral.leray_project(v), products.pressure_from_velocity(u)]
+    outs += [op(c, 5.0 / 6.0) for op in (spectral.fractional_laplacian, spectral.inverse_fractional_laplacian)
+             for c in v.components]
+    values = [ledger._frac_pairing(u, v, 5.0 / 6.0), ledger._l2_pairing(u, v), u.divergence_defect(), v.l2()]
+    assert built == []
+    assert all(np.isfinite(values))
+    for x in (u, v, *outs):
+        for c in x.components if isinstance(x, VectorField) else (x,):
+            assert "coeffs" not in c.__dict__
+    # the stress products of v fill most of a coarser grid: their union is
+    # summed on the whole cube, and no input keeps one
+    monkeypatch.undo()
+    products.pressure_from_velocity(v)
+    assert all("coeffs" not in c.__dict__ for c in v.components)
