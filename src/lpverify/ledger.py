@@ -34,7 +34,7 @@ import numpy as np
 from . import dyadic, norms, products
 from .dyadic import DyadicWindow
 from .errors import FieldError, GridError, WindowError
-from .spectral import SpectralField, VectorField, _re_dot, _union, _xi_power, gradient
+from .spectral import VectorField, _left_sum, _re_dot, _union, _xi_power, gradient
 
 __all__ = [
     "TrilinearLedger",
@@ -111,7 +111,7 @@ class TrilinearLedger:
 def _split(c_l: dict[int, float], m: int) -> tuple[float, float]:
     """(sum over l <= m, sum over l > m) of per-level integrals, ascending in l."""
     levels = sorted(c_l)
-    return sum(c_l[l] for l in levels if l <= m), sum(c_l[l] for l in levels if l > m)
+    return _left_sum(c_l[l] for l in levels if l <= m), _left_sum(c_l[l] for l in levels if l > m)
 
 
 # ---------------------------------------------------------------------------
@@ -136,14 +136,14 @@ _WORKSPACE_BYTES = int(os.environ.get("LPVERIFY_BUDGET_BYTES", 0)) // 3 or 1280 
 
 
 class _Workspace:
-    """Filtered-field cache for one (u, k) ledger evaluation.
+    """Filtered fields and their samples for one (u, k) ledger evaluation.
 
     All fields here are band-limited inside the grid window, so every
     cubic pairing is alias-free on the native lattice (axis bandwidth sums
-    stay below n).  Filtered fields, their physical samples and their
-    gradients' samples are memoized per filter under one byte budget,
-    evicted oldest first (gradients, then samples, then fields).  A
-    filtrate of a small support holds only that support and its values.
+    stay below n).  A filter is read through its canonical ``key``, so a
+    filtrate is built and sampled once however its filter is spelled.  The
+    filtrates, their samples and their gradients' samples are held in one
+    ``products._Sampler`` under one byte budget, evicted oldest first.
     """
 
     def __init__(self, u: VectorField, k: int):
@@ -151,108 +151,63 @@ class _Workspace:
         self.k = k
         self.grid = u.grid
         self.window = DyadicWindow.for_grid(self.grid)
-        r = max(c.band_radius() for c in u.components)
-        if r > math.ldexp(1.0, self.window.k_max):
+        self.r = max(c.band_radius() for c in u.components)
+        if self.r > math.ldexp(1.0, self.window.k_max):
             raise WindowError(
-                f"field band radius {r:.3g} exceeds the window top 2^{self.window.k_max}"
+                f"field band radius {self.r:.3g} exceeds the window top 2^{self.window.k_max}"
             )
         if not all(c.mean_zero for c in u.components):
             raise FieldError("ledger fields must be mean-zero")
         # highest level whose block can act on this field
-        self.l_top = dyadic._floor_log2(r) + 1 if r > 0 else self.window.k_min
+        self.l_top = dyadic._floor_log2(self.r) + 1 if self.r > 0 else self.window.k_min
         self.l_bot = self.window.k_min
         self.low = _low(k)
         self.tail = _band(k, math.inf)
-        self._fields: dict[tuple, VectorField] = {}
-        self._phys: dict[tuple, list] = {}
-        self._grad: dict[tuple, list] = {}
-        self._zero: dict[tuple, bool] = {}
-        #: bytes charged per (store, filter), as held when stored
-        self._sizes: dict[tuple, int] = {}
-        self._bytes = 0
+        self.samples = products._Sampler(_WORKSPACE_BYTES)
 
-    def _keep(self, store: dict, filt: tuple, entry, nbytes: int) -> None:
-        store[filt] = entry
-        self._sizes[id(store), filt] = nbytes
-        self._bytes += nbytes
-        for victims in (self._grad, self._phys, self._fields):
-            while self._bytes > _WORKSPACE_BYTES and victims:
-                oldest = next(iter(victims))
-                del victims[oldest]
-                self._bytes -= self._sizes.pop((id(victims), oldest))
+    def key(self, filt: tuple) -> tuple:
+        """The canonical filter of ``filt``, which filters u bit for bit alike.
+
+        u's radii lie in [xi_min, r], and a band (a, b) can be nonzero only
+        on (2^(a-1), 2^b).  On the radii [lo, hi] where u and the other
+        bands can be nonzero, psi_a is 0 if 2^a <= lo and psi_b is 1 if
+        hi <= 2^(b-1); those ends become -inf and +inf, a band (-inf, +inf)
+        is dropped, and this repeats until nothing changes.  Repeated bands
+        are kept: psi_1 psi_1 is not psi_1.
+        """
+        bands = list(filt)
+        changed = True
+        while changed:
+            changed = False
+            for i, (a, b) in enumerate(bands):
+                rest = bands[:i] + bands[i + 1 :]
+                lo = max([self.grid.xi_min] + [2.0 ** (a2 - 1) for a2, _ in rest])
+                hi = min([self.r] + [2.0**b2 for _, b2 in rest])
+                new = (-math.inf if 2.0**a <= lo else a, math.inf if hi <= 2.0 ** (b - 1) else b)
+                changed |= new != (a, b)
+                bands[i] = new
+            bands = [band for band in bands if band != (-math.inf, math.inf)]
+        return tuple(sorted(bands))
 
     # -- filtered fields ----------------------------------------------------
 
     def field(self, filt: tuple) -> VectorField:
         """u times the product of the band symbols in ``filt`` (u itself for ())."""
-        if not filt:
+        key = self.key(filt)
+        if not key:
             return self.u
-        out = self._fields.get(filt)
-        if out is None:
-            out = dyadic.band(self.u, filt)
-            self._keep(self._fields, filt, out, sum(c.nbytes for c in out.components))
+        if key in self.samples.held:
+            return self.samples.held[key][0]
+        out = dyadic.band(self.u, key)
+        self.samples.keep(key, out, sum(c.nbytes for c in out.components))
         return out
-
-    def is_zero(self, filt: tuple) -> bool:
-        flag = self._zero.get(filt)
-        if flag is None:
-            flag = all(c.max_abs_coeff() == 0.0 for c in self.field(filt).components)
-            self._zero[filt] = flag
-        return flag
-
-    def phys(self, filt: tuple) -> list:
-        out = self._phys.get(filt)
-        if out is None:
-            out = [
-                None if c.max_abs_coeff() == 0.0 else c.samples()
-                for c in self.field(filt).components
-            ]
-            self._keep(self._phys, filt, out, sum(a.nbytes for a in out if a is not None))
-        return out
-
-    def grad_phys(self, filt: tuple) -> list:
-        out = self._grad.get(filt)
-        if out is None:
-            out = []
-            for c in self.field(filt).components:
-                if c.max_abs_coeff() == 0.0:
-                    out.append([None, None, None])
-                else:
-                    out.append([gc.samples() for gc in gradient(c).components])
-            self._keep(self._grad, filt, out, sum(a.nbytes for g in out for a in g if a is not None))
-        return out
-
-    def sampler(self, filts) -> tuple[list[VectorField], object]:
-        """(fields, sample): the filtered fields of ``filts``, and
-        ``sample(c, eg)`` for their components, as ``products._product``
-        takes it.  On this grid it reads ``phys`` under the band order of
-        ``tri``, so the two share samples; on any other it keeps the
-        samples it makes for as long as it lives."""
-        filts = [tuple(sorted(f)) for f in filts]
-        fields = [self.field(f) for f in filts]
-        where = {id(c): (f, i) for f, v in zip(filts, fields) for i, c in enumerate(v.components)}
-        other: dict[tuple, np.ndarray] = {}
-
-        def sample(c: SpectralField, eg) -> np.ndarray:
-            f, i = where[id(c)]
-            if eg == self.grid:
-                return self.phys(f)[i]
-            if (f, i, eg.n) not in other:
-                other[f, i, eg.n] = products.samples_on(c, eg)
-            return other[f, i, eg.n]
-
-        return fields, sample
 
     # -- the elementary integral --------------------------------------------
 
     def tri(self, xf: tuple, yf: tuple, zf: tuple) -> float:
-        """integral of X . grad Y . Z dx over the torus, memoized factors."""
-        # canonical band order, so a filter has one memo key however it was written
-        xf, yf, zf = (tuple(sorted(f)) for f in (xf, yf, zf))
-        if self.is_zero(xf) or self.is_zero(yf) or self.is_zero(zf):
-            return 0.0
-        acc = products._contract(self.phys(xf), self.grad_phys(yf), self.phys(zf))
-        return acc * self.grid.cell_volume
+        """integral of X . grad Y . Z dx over the torus, on the native grid."""
+        keys = [self.key(f) for f in (xf, yf, zf)]
+        return products._tri(self.samples, self.grid, [self.field(f) for f in keys], keys)
 
     # -- resonant per-level integrals ---------------------------------------
 
@@ -324,7 +279,7 @@ def _ledger_classical(ws: _Workspace, theta) -> TrilinearLedger:
     terms["I13"] = _i13(ws, ws.low)
 
     c_l = ws.resonant_terms(ws.low)
-    terms["I23"] = sum(c_l.values())
+    terms["I23"] = _left_sum(c_l.values())
     terms["I231"], terms["I232"] = _split(c_l, split_index(theta, k))
 
     terms["snc_rhs_1"] = terms["I12"]
@@ -434,8 +389,8 @@ def ledger_fractional_high(u: VectorField, k: int, s) -> TrilinearLedger:
     terms["J2"] = _i13(ws, ws.low)
     terms["J2_low"], terms["J2_high"] = parts(lambda y: _i13(ws, y), m2)
     c_l = ws.resonant_terms(ws.low)
-    terms["J3"] = sum(c_l.values())
-    terms["J3_low"], terms["J3_high"] = parts(lambda y: sum(ws.resonant_terms(y).values()), m2)
+    terms["J3"] = _left_sum(c_l.values())
+    terms["J3_low"], terms["J3_high"] = parts(lambda y: _left_sum(ws.resonant_terms(y).values()), m2)
 
     total = ws.tri((), ws.low, ())
     terms["recon_residual"] = abs(total - (terms["J1"] + terms["J2"] + terms["J3"]))
@@ -625,8 +580,8 @@ def support_audit(u: VectorField, k: int) -> SupportAuditReport:
     rounding level.  The gradient of the low-pass itself has bit-exact
     support inside the open ball of radius 2^k.
 
-    Each level's three filtrates are sampled once per component, not once
-    per product, through the ledger workspace's memo of physical samples.
+    Each level's three filtrates are sampled once per component and grid,
+    not once per product, through the ledger workspace's sampler.
     """
     return _support_audit(_Workspace(u, k))
 
@@ -642,10 +597,12 @@ def _support_audit(ws: _Workspace) -> SupportAuditReport:
     grad_ok = all(gc.band_radius() < math.ldexp(1.0, k) for comps in grad_su for gc in comps)
     grad_scale = math.sqrt(norms.dirichlet(su))
 
-    def audit_product(term: str, l: int, a: SpectralField, b: SpectralField, sample):
-        if a.max_abs_coeff() == 0.0 or b.max_abs_coeff() == 0.0:
+    def audit_product(term: str, l: int, a: tuple, b: tuple):
+        # a, b: (filter key, component index), sampled through the workspace
+        fa, fb = (ws.field(key).components[i] for key, i in (a, b))
+        if fa.max_abs_coeff() == 0.0 or fb.max_abs_coeff() == 0.0:
             return
-        p = products._product(a, b, sample)
+        p = products._product(fa, fb, ws.samples, (a, b))
         lo, hi, max_in, max_out = dyadic.annulus_audit(p, l)
         scale = max(max_in, max_out)
         pairing = 0.0
@@ -659,13 +616,11 @@ def _support_audit(ws: _Workspace) -> SupportAuditReport:
         rows.append(AuditRow(term, l, lo, hi, max_out, pairing, disjoint, scale))
 
     for l in range(k - 1, ws.l_top + 1):
-        (dl, ss, st), sample = ws.sampler(
-            (_block(l) + ws.tail, _low(l - 2) + ws.low, _low(l - 2) + ws.tail)
-        )
+        dl, ss, st = (ws.key(f) for f in (_block(l) + ws.tail, _low(l - 2) + ws.low, _low(l - 2) + ws.tail))
         for i in range(3):
             for j in range(3):
-                audit_product("I12-summand", l, dl.components[i], ss.components[j], sample)
-                audit_product("I21-I22-summand", l, dl.components[i], st.components[j], sample)
+                audit_product("I12-summand", l, (dl, i), (ss, j))
+                audit_product("I21-I22-summand", l, (dl, i), (st, j))
 
     violations = sum(
         1

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from . import dyadic, norms, products
 from .dyadic import DyadicWindow
 from .errors import FieldError, WindowError
-from .spectral import SpectralField
+from .spectral import SpectralField, _left_sum
 
 __all__ = ["BonySplit", "bony_split", "ProductBoundReport", "product_sobolev_bound"]
 
@@ -192,7 +192,7 @@ def product_sobolev_bound(
         return max(ratios) if ratios else 0.0
 
     lhs_blocks = math.sqrt(
-        sum((math.ldexp(1.0, k) ** sigma * norms._block_l2(fg, k)) ** 2 for k in levels)
+        _left_sum((math.ldexp(1.0, k) ** sigma * norms._block_l2(fg, k)) ** 2 for k in levels)
     )
     return ProductBoundReport(
         s=s,
@@ -204,9 +204,9 @@ def product_sobolev_bound(
         low_high=tuple(lk),
         high_low=tuple(mk),
         resonant=tuple(nk),
-        low_high_l2=math.sqrt(sum(v * v for v in lk)),
-        high_low_l2=math.sqrt(sum(v * v for v in mk)),
-        resonant_l2=math.sqrt(sum(v * v for v in nk)),
+        low_high_l2=math.sqrt(_left_sum(v * v for v in lk)),
+        high_low_l2=math.sqrt(_left_sum(v * v for v in mk)),
+        resonant_l2=math.sqrt(_left_sum(v * v for v in nk)),
         lhs_block_sum=lhs_blocks,
         c_emp_low_high=_c_emp(lk, lk_bound),
         c_emp_high_low=_c_emp(mk, mk_bound),

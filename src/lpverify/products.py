@@ -13,6 +13,7 @@ coarser one, and full-band fields go to 2n.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterator
 
 import numpy as np
@@ -107,11 +108,11 @@ def _eval_grid_for(grid: TorusGrid, band_sum: int, t: int) -> TorusGrid:
 
 def product(f: SpectralField, g: SpectralField) -> SpectralField:
     """De-aliased pointwise product returned on the common grid."""
-    return _product(f, g, samples_on)
+    return _product(f, g, _Sampler(), (None, None))
 
 
-def _product(f: SpectralField, g: SpectralField, sample) -> SpectralField:
-    """``product`` with the operands sampled by ``sample(field, eval_grid)``."""
+def _product(f: SpectralField, g: SpectralField, sample: _Sampler, keys) -> SpectralField:
+    """``product`` with the operands sampled by ``sample`` under ``keys``."""
     if f.grid != g.grid:
         raise GridError("product operands live on different grids")
     grid = f.grid
@@ -119,7 +120,42 @@ def _product(f: SpectralField, g: SpectralField, sample) -> SpectralField:
         return SpectralField.zeros(grid)
     band_sum = f.band_axis + g.band_axis
     eg = _eval_grid_for(grid, band_sum, min(grid.n // 2 - 1, band_sum))
-    return restrict_to(sample(f, eg) * sample(g, eg), eg, grid)
+    return restrict_to(sample(keys[0], f, eg) * sample(keys[1], g, eg), eg, grid)
+
+
+class _Sampler:
+    """Physical samples of scalar fields, and of their gradients, per (key, grid n).
+
+    A key names one scalar field for as long as the sampler lives; the key
+    None samples afresh and keeps nothing.  A zero field samples to None.
+    One byte count covers all that is held, including what a caller
+    ``keep``s beside the samples, and past ``budget`` the oldest entries go
+    first.
+    """
+
+    def __init__(self, budget: float = math.inf):
+        self.budget = budget
+        self.nbytes = 0
+        self.held: dict = {}  # slot -> (value, bytes charged when kept)
+
+    def __call__(self, key, c: SpectralField, eg: TorusGrid, grad: bool = False):
+        """c sampled on eg, or the list of its gradient's three components."""
+        slot = (key, eg.n, grad)
+        if slot in self.held:
+            return self.held[slot][0]
+        arrays = []
+        if c.max_abs_coeff() != 0.0:
+            arrays = [samples_on(g, eg) for g in (gradient(c).components if grad else (c,))]
+        out = (arrays if grad else arrays[0]) if arrays else None
+        if key is not None:
+            self.keep(slot, out, sum(a.nbytes for a in arrays))
+        return out
+
+    def keep(self, slot, value, nbytes: int) -> None:
+        self.held[slot] = (value, nbytes)
+        self.nbytes += nbytes
+        while self.nbytes > self.budget:
+            self.nbytes -= self.held.pop(next(iter(self.held)))[1]
 
 
 def advective_term(u: VectorField, a: VectorField) -> VectorField:
@@ -154,42 +190,44 @@ def trilinear(u: VectorField, a: VectorField, b: VectorField) -> float:
 def _trilinear_sweep(u: VectorField, a: VectorField, bs) -> list[float]:
     """``trilinear(u, a, b)`` for each b of the iterable ``bs``, in order.
 
-    u and the gradient of each nonzero component of a are sampled once per
-    evaluation grid the sweep meets, when a b first needs them.  Each b is
-    drawn from ``bs`` only when its turn comes, so a generator of b's is
-    never held whole, and only its nonzero components are sampled; a b that
-    pairs with no nonzero component of a is 0.0 and samples nothing.  Every
+    u and the gradient of each paired component of a are kept in one
+    sampler, so each is sampled once per evaluation grid the sweep meets;
+    each b is sampled afresh and not kept.  Each b is drawn from ``bs`` only
+    when its turn comes, so a generator of b's is never held whole.  Every
     value is bit-identical to a call of its own, and a b on another grid
     raises ``GridError`` when its turn comes, after the values before it.
     """
-    grid = u.grid
-    u_zero = all(c.max_abs_coeff() == 0.0 for c in u.components)
-    a_live = [c.max_abs_coeff() != 0.0 for c in a.components]
-    us: dict[int, list] = {}  # eval n -> samples of u
-    gys: dict[tuple[int, int], list] = {}  # (eval n, i) -> samples of grad a_i
-
-    def value(b: VectorField) -> float:
-        if a.grid != grid or b.grid != grid:
-            raise GridError("trilinear operands live on different grids")
-        pairs = [i for i in range(3) if a_live[i] and b.components[i].max_abs_coeff() != 0.0]
-        if u_zero or not pairs:
-            return 0.0
-        bands = (u.band_axis(), a.band_axis(), b.band_axis())
-        eg = _eval_grid_for(grid, sum(bands), max(bands))
-        if eg.n not in us:
-            us[eg.n] = [samples_on(c, eg) for c in u.components]
-        zs: list = [None] * 3
-        for i in pairs:
-            if (eg.n, i) not in gys:  # the gradient is not kept, only its samples
-                gys[eg.n, i] = [samples_on(g, eg) for g in gradient(a.components[i]).components]
-            zs[i] = samples_on(b.components[i], eg)
-        return _contract(us[eg.n], [gys.get((eg.n, i)) for i in range(3)], zs) * eg.cell_volume
-
+    sample = _Sampler()
     out = []
     for b in bs:
-        out.append(value(b))
+        if a.grid != u.grid or b.grid != u.grid:
+            raise GridError("trilinear operands live on different grids")
+        bands = (u.band_axis(), a.band_axis(), b.band_axis())
+        eg = _eval_grid_for(u.grid, sum(bands), max(bands))
+        out.append(_tri(sample, eg, (u, a, b), ("u", "a", None)))
         del b  # hold no b while the next one is drawn
     return out
+
+
+def _tri(sample: _Sampler, eg: TorusGrid, factors, keys) -> float:
+    """integral of X . grad Y . Z dx for ``factors`` (X, Y, Z), a quadrature on eg.
+
+    ``sample`` holds the factors' samples under ``keys``, one per factor
+    (None: sampled afresh).  Only the components i where Y_i and Z_i are
+    both nonzero are paired, and nothing is sampled if X is zero or no
+    component pairs.
+    """
+    x, y, z = (f.components for f in factors)
+    pairs = [i for i in range(3) if y[i].max_abs_coeff() != 0.0 and z[i].max_abs_coeff() != 0.0]
+    if not pairs or all(c.max_abs_coeff() == 0.0 for c in x):
+        return 0.0
+    kx, ky, kz = ([None if k is None else (k, i) for i in range(3)] for k in keys)
+    xs = [sample(kx[j], x[j], eg) for j in range(3)]
+    gys, zs = [None] * 3, [None] * 3
+    for i in pairs:
+        gys[i] = sample(ky[i], y[i], eg, grad=True)
+        zs[i] = sample(kz[i], z[i], eg)
+    return _contract(xs, gys, zs) * eg.cell_volume
 
 
 def _contract(xs: list, gys: list, zs: list) -> float:
@@ -211,15 +249,9 @@ def _contract(xs: list, gys: list, zs: list) -> float:
 
 def _stress(u: VectorField) -> Iterator[tuple[tuple[int, int], SpectralField]]:
     """((i, j), product(u_i, u_j)) for i <= j; each u_i is sampled once per grid."""
-    memo: dict[tuple[int, int], np.ndarray] = {}
-
-    def sample(c: SpectralField, eg: TorusGrid) -> np.ndarray:
-        if (id(c), eg.n) not in memo:
-            memo[id(c), eg.n] = samples_on(c, eg)
-        return memo[id(c), eg.n]
-
+    sample = _Sampler()
     for i, j in itertools.combinations_with_replacement(range(3), 2):
-        yield (i, j), _product(u.components[i], u.components[j], sample)
+        yield (i, j), _product(u.components[i], u.components[j], sample, (i, j))
 
 
 def pressure_from_velocity(u: VectorField) -> SpectralField:

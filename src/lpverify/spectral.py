@@ -372,6 +372,15 @@ def _re_dot(a: np.ndarray, b: np.ndarray, weight=1.0) -> float:
     return float(np.sum(weight * (a.real * b.real + a.imag * b.imag)))
 
 
+def _left_sum(values) -> float:
+    """``sum(values)`` added left to right, as Python 3.11 adds floats; from
+    3.12 the builtin compensates.  Like ``sum``, an empty sum is the int 0."""
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
 def _union(a, b, size: int):
     """The union of two ``active`` index sets of a cube of ``size`` entries,
     ascending; the whole cube once the two hold more than 1/(2 _SPARSE) of
@@ -460,7 +469,7 @@ class VectorField:
     __rmul__ = __mul__
 
     def l2(self) -> float:
-        return math.sqrt(sum(c.l2() ** 2 for c in self.components))
+        return math.sqrt(_left_sum(c.l2() ** 2 for c in self.components))
 
     def band_axis(self) -> int:
         return max(c.band_axis for c in self.components)

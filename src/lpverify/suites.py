@@ -24,7 +24,7 @@ from . import __version__, dyadic, forge, ledger, norms, paraproduct, products, 
 from .dyadic import DEFAULT_PROFILE, DyadicWindow
 from .errors import ConfigError, ResourceBudgetError, WindowError
 from .ledger import fit_decay  # noqa: F401  (public: decay fitting lives here too)
-from .spectral import TWO_PI, TorusGrid, VectorField, set_fft_workers
+from .spectral import TWO_PI, TorusGrid, VectorField, _left_sum, set_fft_workers
 
 SUITES = (
     "core",
@@ -361,7 +361,7 @@ def _suite_dyadic(cfg: SuiteConfig) -> SuiteResult:
 
     radii = np.geomspace(math.ldexp(1.0, win.k_min), math.ldexp(1.0, win.k_max), 64)
     part = max(
-        abs(sum(float(DEFAULT_PROFILE.phi(np.array([r * 2.0**-k]))[0]) for k in range(win.k_min - 2, win.k_max + 3)) - 1.0)
+        abs(_left_sum(float(DEFAULT_PROFILE.phi(np.array([r * 2.0**-k]))[0]) for k in range(win.k_min - 2, win.k_max + 3)) - 1.0)
         for r in radii
     )
     checks.append(_check("profile-partition", "partition-of-unity", part, 1.0, cfg.tol("partition")))

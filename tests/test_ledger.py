@@ -232,6 +232,48 @@ def test_band_filters_match_literal_composition(grid32, k):
             assert np.max(np.abs(c_got.coeffs - c_exp.coeffs)) <= 1e-15 * top, name
 
 
+@pytest.mark.parametrize("box", [TWO_PI, math.pi * 32 / 2])
+def test_filters_sharing_a_key_filter_u_bit_for_bit(box):
+    grid = TorusGrid(32, box)
+    win = DyadicWindow.for_grid(grid)
+    u = forge.generate(grid, forge.SpectrumSpec("white-band", seed=5, band=(win.k_min, win.k_max)))
+    for k in win.indices():
+        ws = ledger._Workspace(u, k)
+        classes: dict = {}
+        for name, filt, _ in _literal_filters(u, k):
+            classes.setdefault(ws.key(filt), []).append((name, dyadic.band(u, filt)))
+        assert len(classes) < sum(len(v) for v in classes.values())  # some spellings share a key
+        for key, spelled in classes.items():
+            want = ws.field(key)
+            for name, got in spelled:
+                for c, w in zip(got.components, want.components):
+                    assert np.array_equal(c.coeffs, w.coeffs), (k, name, key)
+                    assert np.array_equal(c.support, w.support), (k, name, key)
+
+
+def test_ledger_and_audit_sample_each_filtrate_once(grid32, monkeypatch):
+    u = suites._window_field(grid32, 0)
+    want = ledger.ledger_classical(u, 1), ledger.support_audit(u, 1)
+    ws = ledger._Workspace(u, 1)
+    spellings: dict = {}
+    key = ws.key
+    monkeypatch.setattr(ws, "key", lambda filt: spellings.setdefault(tuple(sorted(filt)), key(filt)))
+    calls = []
+    sample = products.samples_on
+    monkeypatch.setattr(products, "samples_on", lambda c, dst: calls.append(dst.n) or sample(c, dst))
+    assert (ledger._ledger_classical(ws, Fraction(1, 2)), ledger._support_audit(ws)) == want
+    held = {slot: value for slot, (value, _) in ws.samples.held.items() if type(slot[-1]) is bool}
+    filtrates = {filt for ((filt, _), _, grad) in held if not grad}
+    gradients = {filt for ((filt, _), _, grad) in held if grad}
+    # 10 filtrates and 3 gradients, standing for 22 and 7 spellings of their filters
+    assert (len(filtrates), len(gradients)) == (10, 3)
+    assert sum(k in filtrates for k in spellings.values()) == 22
+    assert sum(k in gradients for k in spellings.values()) == 7
+    # each held array was sampled once, on the native grid, and nothing else was
+    arrays = sum(0 if v is None else len(v) if isinstance(v, list) else 1 for v in held.values())
+    assert calls == [32] * arrays == [32] * 57
+
+
 # -- support audit ------------------------------------------------------------------
 
 
@@ -286,7 +328,8 @@ def test_support_audit_on_shared_workspace(grid32, monkeypatch, order):
     assert rep.rows and rep.violations == 0
     assert led == fresh
     if order == "evicting":
-        assert not ws._grad and ws._bytes <= ledger._WORKSPACE_BYTES
+        held = ws.samples.held.values()
+        assert sum(nbytes for _, nbytes in held) == ws.samples.nbytes <= ledger._WORKSPACE_BYTES
 
 
 # -- decay fits -----------------------------------------------------------------------

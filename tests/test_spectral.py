@@ -15,7 +15,7 @@ from lpverify import (
     transform_forward,
 )
 from lpverify.errors import FieldError, GridError
-from lpverify.spectral import TWO_PI, FOURIER_NORM, inverse_fractional_laplacian
+from lpverify.spectral import TWO_PI, FOURIER_NORM, _left_sum, inverse_fractional_laplacian
 from lpverify import forge
 
 
@@ -189,3 +189,10 @@ def test_leray_output_divergence_free_and_idempotent(grid16, rng):
             b.max_abs_coeff(), 1e-300
         )
     assert pv.check_div_free()
+
+
+def test_left_sum_adds_in_order_without_compensation():
+    # compensated summation (the builtin sum from Python 3.12) gives 1.0 here
+    assert _left_sum([1e16, 1.0, -1e16]) == 0.0
+    assert _left_sum(v for v in (0.1, 0.2, 0.3)) == (0.1 + 0.2) + 0.3
+    assert _left_sum([]) == 0 and type(_left_sum([])) is int  # as sum([]) is
