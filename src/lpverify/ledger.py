@@ -138,12 +138,12 @@ _WORKSPACE_BYTES = int(os.environ.get("LPVERIFY_BUDGET_BYTES", 0)) // 3 or 1280 
 class _Workspace:
     """Filtered fields and their samples for one (u, k) ledger evaluation.
 
-    All fields here are band-limited inside the grid window, so every
-    cubic pairing is alias-free on the native lattice (axis bandwidth sums
-    stay below n).  A filter is read through its canonical ``key``, so a
-    filtrate is built and sampled once however its filter is spelled.  The
-    filtrates, their samples and their gradients' samples are held in one
-    ``products._Sampler`` under one byte budget, evicted oldest first.
+    Each trilinear term is a quadrature on the smallest power-of-two grid
+    n' >= 8 with n' > sum B and n' > 2 max B, B its factors' axis
+    bandwidths (``products._eval_grid_for``).  A filter is read through its
+    canonical ``key``, so a filtrate is built once however it is spelled
+    and sampled once per grid, in one ``products._Sampler`` with the
+    samples of its gradient, under one byte budget, oldest evicted first.
     """
 
     def __init__(self, u: VectorField, k: int):
@@ -191,9 +191,8 @@ class _Workspace:
 
     # -- filtered fields ----------------------------------------------------
 
-    def field(self, filt: tuple) -> VectorField:
-        """u times the product of the band symbols in ``filt`` (u itself for ())."""
-        key = self.key(filt)
+    def field(self, key: tuple) -> VectorField:
+        """u filtered by ``key``, a canonical filter (u itself for ())."""
         if not key:
             return self.u
         if key in self.samples.held:
@@ -205,9 +204,9 @@ class _Workspace:
     # -- the elementary integral --------------------------------------------
 
     def tri(self, xf: tuple, yf: tuple, zf: tuple) -> float:
-        """integral of X . grad Y . Z dx over the torus, on the native grid."""
+        """integral of X . grad Y . Z dx over the torus (``products._tri``)."""
         keys = [self.key(f) for f in (xf, yf, zf)]
-        return products._tri(self.samples, self.grid, [self.field(f) for f in keys], keys)
+        return products._tri(self.samples, [self.field(key) for key in keys], keys)
 
     # -- resonant per-level integrals ---------------------------------------
 
@@ -592,7 +591,7 @@ def _support_audit(ws: _Workspace) -> SupportAuditReport:
     k = ws.k
     g = ws.grid
     rows: list[AuditRow] = []
-    su = ws.field(ws.low)
+    su = ws.field(ws.key(ws.low))
     grad_su = [gradient(c).components for c in su.components]
     grad_ok = all(gc.band_radius() < math.ldexp(1.0, k) for comps in grad_su for gc in comps)
     grad_scale = math.sqrt(norms.dirichlet(su))

@@ -1,13 +1,12 @@
 """De-aliased products, trilinear advective integrals, pressure recovery.
 
-Quadratic and cubic expressions are evaluated in physical space on one
-grid rule (Orszag's): a product of fields with axis bandwidth sum B,
-sampled on an n'-grid, is exact on the modes |m| <= t iff B + t < n',
-because its alias images sit at axis distance >= n' - B from the true
-content.  Every product is evaluated on the smallest power-of-two grid
-n' >= 8 meeting that bound, whether below or above the fields' own n:
-window-band fields stay on their grid, narrow-band pairs drop to a
-coarser one, and full-band fields go to 2n.
+Quadratic and cubic expressions are evaluated in physical space, each on
+the grid one rule (Orszag's, ``_eval_grid_for``) names for its factors'
+axis bandwidths B: the smallest power of two n' >= 8 with n' > sum B + t,
+so the modes |m| <= t are exact, and n' > 2 max B.  A product keeps every
+mode its grid resolves: window-band pairs stay on their grid, narrow-band
+pairs drop to a coarser one, and full-band fields go to 2n.  A trilinear
+form needs only the zero mode of its integrand, t = 0.
 """
 
 from __future__ import annotations
@@ -93,15 +92,17 @@ def restrict_to(samples: np.ndarray, eval_grid: TorusGrid, out: TorusGrid) -> Sp
     return SpectralField(out, coeffs, real_valued=True, mean_zero=bool(coeffs[0, 0, 0] == 0))
 
 
-def _eval_grid_for(grid: TorusGrid, band_sum: int, t: int) -> TorusGrid:
-    """The smallest power-of-two grid on which a product is exact on |m| <= t.
-
-    Alias images of content of axis bandwidth ``band_sum`` sit at axis
-    distance >= n' - band_sum from it, so the modes |m| <= t stay exact
-    iff band_sum + t < n'.
+def _eval_grid_for(grid: TorusGrid, bands, t: int | None = None) -> TorusGrid:
+    """The smallest power-of-two grid n' >= 8 on which a product of factors
+    of axis bandwidths ``bands`` is exact on |m| <= t: n' > sum(bands) + t,
+    as alias images sit at axis distance >= n' - sum(bands), and
+    n' > 2 max(bands), so no factor reaches its Nyquist plane.  The default
+    t = min(n/2 - 1, sum(bands)) keeps all ``grid`` resolves, which implies
+    the second clause for factors it resolves; a trilinear form takes t = 0.
     """
+    t = min(grid.n // 2 - 1, sum(bands)) if t is None else t
     n = 8
-    while n <= band_sum + t:
+    while n <= sum(bands) + t or n <= 2 * max(bands):
         n *= 2
     return grid if n == grid.n else TorusGrid(n, grid.box_length)
 
@@ -118,8 +119,7 @@ def _product(f: SpectralField, g: SpectralField, sample: _Sampler, keys) -> Spec
     grid = f.grid
     if f.max_abs_coeff() == 0.0 or g.max_abs_coeff() == 0.0:
         return SpectralField.zeros(grid)
-    band_sum = f.band_axis + g.band_axis
-    eg = _eval_grid_for(grid, band_sum, min(grid.n // 2 - 1, band_sum))
+    eg = _eval_grid_for(grid, (f.band_axis, g.band_axis))
     return restrict_to(sample(keys[0], f, eg) * sample(keys[1], g, eg), eg, grid)
 
 
@@ -159,19 +159,19 @@ class _Sampler:
 
 
 def advective_term(u: VectorField, a: VectorField) -> VectorField:
-    """(u . grad) a, fully de-aliased, on the common grid."""
+    """(u . grad) a, fully de-aliased, on the common grid; zero factors are not sampled."""
     grid = u.grid
     if a.grid != grid:
         raise GridError("advection operands live on different grids")
-    band_sum = u.band_axis() + a.band_axis()
-    eg = _eval_grid_for(grid, band_sum, min(grid.n // 2 - 1, band_sum))
-    us = [samples_on(c, eg) for c in u.components]
+    eg = _eval_grid_for(grid, (u.band_axis(), a.band_axis()))
+    sample = _Sampler()
+    us = [sample(None, c, eg) for c in u.components]
     comps = []
     for ai in a.components:
-        grad_ai = gradient(ai)
         acc = np.zeros((eg.n,) * 3)
-        for j in range(3):
-            acc += us[j] * samples_on(grad_ai.components[j], eg)
+        for uj, gj in zip(us, sample(None, ai, eg, grad=True) or ()):
+            if uj is not None:
+                acc += uj * gj
         comps.append(restrict_to(acc, eg, grid))
     return VectorField(tuple(comps))  # type: ignore[arg-type]
 
@@ -179,9 +179,9 @@ def advective_term(u: VectorField, a: VectorField) -> VectorField:
 def trilinear(u: VectorField, a: VectorField, b: VectorField) -> float:
     """The advective trilinear form  integral of u . grad a . b dx.
 
-    Evaluated as a plain quadrature on a grid fine enough that no alias
-    image can reach the zero mode of the cubic integrand and every factor
-    is resolved.  This is the one-element case of ``_trilinear_sweep``,
+    Evaluated as a plain quadrature on the grid of ``_eval_grid_for``, where
+    no alias image can reach the zero mode of the cubic integrand and every
+    factor is resolved.  This is the one-element case of ``_trilinear_sweep``,
     which samples u and grad a once per evaluation grid for many b.
     """
     return _trilinear_sweep(u, a, (b,))[0]
@@ -202,15 +202,14 @@ def _trilinear_sweep(u: VectorField, a: VectorField, bs) -> list[float]:
     for b in bs:
         if a.grid != u.grid or b.grid != u.grid:
             raise GridError("trilinear operands live on different grids")
-        bands = (u.band_axis(), a.band_axis(), b.band_axis())
-        eg = _eval_grid_for(u.grid, sum(bands), max(bands))
-        out.append(_tri(sample, eg, (u, a, b), ("u", "a", None)))
+        out.append(_tri(sample, (u, a, b), ("u", "a", None)))
         del b  # hold no b while the next one is drawn
     return out
 
 
-def _tri(sample: _Sampler, eg: TorusGrid, factors, keys) -> float:
-    """integral of X . grad Y . Z dx for ``factors`` (X, Y, Z), a quadrature on eg.
+def _tri(sample: _Sampler, factors, keys) -> float:
+    """integral of X . grad Y . Z dx for ``factors`` (X, Y, Z), a quadrature
+    on the grid ``_eval_grid_for`` names for their axis bandwidths, t = 0.
 
     ``sample`` holds the factors' samples under ``keys``, one per factor
     (None: sampled afresh).  Only the components i where Y_i and Z_i are
@@ -221,6 +220,7 @@ def _tri(sample: _Sampler, eg: TorusGrid, factors, keys) -> float:
     pairs = [i for i in range(3) if y[i].max_abs_coeff() != 0.0 and z[i].max_abs_coeff() != 0.0]
     if not pairs or all(c.max_abs_coeff() == 0.0 for c in x):
         return 0.0
+    eg = _eval_grid_for(factors[0].grid, [f.band_axis() for f in factors], 0)
     kx, ky, kz = ([None if k is None else (k, i) for i in range(3)] for k in keys)
     xs = [sample(kx[j], x[j], eg) for j in range(3)]
     gys, zs = [None] * 3, [None] * 3

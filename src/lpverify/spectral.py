@@ -374,8 +374,8 @@ def _re_dot(a: np.ndarray, b: np.ndarray, weight=1.0) -> float:
 
 def _left_sum(values) -> float:
     """``sum(values)`` added left to right, as Python 3.11 adds floats; from
-    3.12 the builtin compensates.  Like ``sum``, an empty sum is the int 0."""
-    total = 0
+    3.12 the builtin compensates.  An empty sum is 0.0, not ``sum``'s int 0."""
+    total = 0.0
     for v in values:
         total += v
     return total

@@ -226,7 +226,7 @@ def test_band_filters_match_literal_composition(grid32, k):
     ws = ledger._Workspace(u, k)
     top = max(c.max_abs_coeff() for c in u.components)
     for name, filt, expect in _literal_filters(u, k):
-        got = ws.field(filt)
+        got = ws.field(ws.key(filt))
         for c_got, c_exp in zip(got.components, expect.components):
             assert np.array_equal(c_got.coeffs == 0, c_exp.coeffs == 0), name
             assert np.max(np.abs(c_got.coeffs - c_exp.coeffs)) <= 1e-15 * top, name
@@ -258,20 +258,25 @@ def test_ledger_and_audit_sample_each_filtrate_once(grid32, monkeypatch):
     spellings: dict = {}
     key = ws.key
     monkeypatch.setattr(ws, "key", lambda filt: spellings.setdefault(tuple(sorted(filt)), key(filt)))
-    calls = []
-    sample = products.samples_on
+    calls, named = [], []
+    sample, rule = products.samples_on, products._eval_grid_for
     monkeypatch.setattr(products, "samples_on", lambda c, dst: calls.append(dst.n) or sample(c, dst))
+    monkeypatch.setattr(products, "_eval_grid_for", lambda *a: named.append(rule(*a).n) or rule(*a))
     assert (ledger._ledger_classical(ws, Fraction(1, 2)), ledger._support_audit(ws)) == want
     held = {slot: value for slot, (value, _) in ws.samples.held.items() if type(slot[-1]) is bool}
     filtrates = {filt for ((filt, _), _, grad) in held if not grad}
     gradients = {filt for ((filt, _), _, grad) in held if grad}
-    # 10 filtrates and 3 gradients, standing for 22 and 7 spellings of their filters
+    # 10 filtrates and 3 gradients, standing for 19 and 7 spellings of their
+    # filters; a filter is keyed once, never its key again
     assert (len(filtrates), len(gradients)) == (10, 3)
-    assert sum(k in filtrates for k in spellings.values()) == 22
+    assert sum(k in filtrates for k in spellings.values()) == 19
     assert sum(k in gradients for k in spellings.values()) == 7
-    # each held array was sampled once, on the native grid, and nothing else was
-    arrays = sum(0 if v is None else len(v) if isinstance(v, list) else 1 for v in held.values())
-    assert calls == [32] * arrays == [32] * 57
+    # each held array was sampled once, on a grid the rule named, and nothing
+    # else was: the narrow terms drop to 16^3, none leaves the native 32^3
+    arrays = [n for (_, n, _), v in held.items() for _ in ([] if v is None else v if isinstance(v, list) else [v])]
+    assert sorted(calls) == sorted(arrays)
+    assert set(calls) == set(named) == {16, 32}
+    assert (calls.count(16), calls.count(32)) == (18, 54)
 
 
 # -- support audit ------------------------------------------------------------------

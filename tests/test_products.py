@@ -120,6 +120,27 @@ def test_nyquist_energy_rejected(grid16, rng):
         products.product(f, f)
 
 
+def test_advective_term_skips_zero_factors(monkeypatch, grid32):
+    from lpverify.spectral import gradient
+
+    f = _band_field(grid32, 5, (1, 2))
+    zero = SpectralField.zeros(grid32)
+    u = VectorField((f.components[0], zero, f.components[2]))
+    a = VectorField((zero, f.components[1], f.components[2]))
+    eg = products._eval_grid_for(grid32, (u.band_axis(), a.band_axis()))
+    want = []  # every component sampled, zeros included
+    for ai in a.components:
+        acc = np.zeros((eg.n,) * 3)
+        for uj, gj in zip(u.components, gradient(ai).components):
+            acc += products.samples_on(uj, eg) * products.samples_on(gj, eg)
+        want.append(products.restrict_to(acc, eg, grid32))
+    calls = _count_samples(monkeypatch)
+    got = products.advective_term(u, a)
+    assert calls == [eg.n] * (2 + 2 * 3)  # two nonzero u_j, then grad a_i for two nonzero a_i
+    for g, w in zip(got.components, want):
+        assert np.array_equal(g.coeffs, w.coeffs)
+
+
 def test_trilinear_skew_symmetry(grid32):
     u = _band_field(grid32, 5, (1, 3))
     a = _band_field(grid32, 9, (1, 2))
@@ -141,18 +162,62 @@ def test_trilinear_matches_refined_grid_oracle(grid32):
     b = _band_field(grid32, 11, (1, 2))
     got = products.trilinear(u, u, b)
     # oracle: sample everything on the doubled grid and integrate there
-    fine = TorusGrid(64, grid32.box_length)
-    acc = 0.0
+    oracle = _quadrature_on(TorusGrid(64, grid32.box_length), u, u, b)
+    assert abs(got - oracle) <= 1e-10 * max(abs(oracle), 1e-300)
+
+
+def _axis_band_field(grid, seed, band):
+    """A real mean-zero vector field of axis bandwidth exactly ``band``."""
+    rng = np.random.default_rng(seed)
+    m = np.abs(grid.modes)
+    keep = (m[:, None, None] <= band) & (m[None, :, None] <= band) & (m[None, None, :] <= band)
+    keep[0, 0, 0] = False
+    comps = []
+    for _ in range(3):
+        c = np.where(keep, transform_forward(grid, rng.standard_normal((grid.n,) * 3)).coeffs, 0.0)
+        comps.append(SpectralField(grid, c, real_valued=True, mean_zero=True))
+    return VectorField(tuple(comps))
+
+
+def _quadrature_on(eg, x, y, z):
+    """integral of x . grad y . z sampled on eg, one gradient component at a time."""
     from lpverify.spectral import gradient
 
-    us = [products.samples_on(c, fine) for c in u.components]
-    for i in range(3):
-        bi = products.samples_on(b.components[i], fine)
-        gi = gradient(u.components[i])
-        for j in range(3):
-            acc += float(np.sum(us[j] * products.samples_on(gi.components[j], fine) * bi))
-    oracle = acc * fine.cell_volume
-    assert abs(got - oracle) <= 1e-10 * max(abs(oracle), 1e-300)
+    xs = [products.samples_on(c, eg) for c in x.components]
+    acc = 0.0
+    for yi, zi in zip(y.components, z.components):
+        zs = products.samples_on(zi, eg)
+        for xj, gj in zip(xs, gradient(yi).components):
+            acc += float(np.sum(xj * products.samples_on(gj, eg) * zs))
+    return acc * eg.cell_volume
+
+
+@pytest.mark.parametrize(
+    "bands, eval_n",
+    [((1, 1, 1), 8), ((2, 2, 2), 8), ((4, 4, 4), 16), ((8, 1, 1), 32), ((8, 8, 8), 32), ((15, 15, 15), 64)],
+)
+def test_trilinear_grid_rule(monkeypatch, grid32, bands, eval_n):
+    n = grid32.n
+    eg = products._eval_grid_for(grid32, bands, 0)
+
+    def fits(m):  # the zero mode is exact and every factor is below its Nyquist plane
+        return m > sum(bands) and m > 2 * max(bands)
+
+    assert eg.n == eval_n and fits(eg.n) and (eg.n == 8 or not fits(eg.n // 2))
+    old = 8  # the rule before: every mode up to the largest bandwidth exact
+    while old <= sum(bands) + max(bands):
+        old *= 2
+    assert eg.n <= old
+    if max(bands) <= n // 4:  # window-band factors never leave their grid
+        assert eg.n <= n
+    x, y, z = (_axis_band_field(grid32, 20 + i, b) for i, b in enumerate(bands))
+    assert (x.band_axis(), y.band_axis(), z.band_axis()) == bands
+    calls = _count_samples(monkeypatch)
+    got = products._tri(products._Sampler(), (x, y, z), (None, None, None))
+    monkeypatch.undo()
+    assert set(calls) == {eval_n}
+    want = _quadrature_on(TorusGrid(2 * eval_n, grid32.box_length), x, y, z)
+    assert abs(got - want) <= 1e-13 * abs(want)
 
 
 def _trilinear_per_call(u, a, b):
@@ -165,7 +230,7 @@ def _trilinear_per_call(u, a, b):
     if all(c.max_abs_coeff() == 0.0 for c in u.components):
         return 0.0
     bands = (u.band_axis(), a.band_axis(), b.band_axis())
-    eg = products._eval_grid_for(grid, sum(bands), max(bands))
+    eg = products._eval_grid_for(grid, bands, 0)
     us = [products.samples_on(c, eg) for c in u.components]
     gys = [None] * 3
     zs = [None] * 3

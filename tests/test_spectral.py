@@ -195,4 +195,5 @@ def test_left_sum_adds_in_order_without_compensation():
     # compensated summation (the builtin sum from Python 3.12) gives 1.0 here
     assert _left_sum([1e16, 1.0, -1e16]) == 0.0
     assert _left_sum(v for v in (0.1, 0.2, 0.3)) == (0.1 + 0.2) + 0.3
-    assert _left_sum([]) == 0 and type(_left_sum([])) is int  # as sum([]) is
+    assert _left_sum([]) == 0.0 and type(_left_sum([])) is float  # reports write 0.0, not 0
+    assert math.copysign(1.0, _left_sum([-0.0])) == math.copysign(1.0, sum([-0.0])) == 1.0
