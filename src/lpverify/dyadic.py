@@ -265,8 +265,7 @@ def bernstein_check(u: SpectralField, p: float, q: float, k: int) -> BernsteinRe
             f"support [{rmin:.3g}, {rmax:.3g}] not contained in claimed annulus at k={k}"
         )
 
-    norm_p = norms.lp_norm(u, p)
-    norm_q = norm_p if q == p else norms.lp_norm(u, q)
+    norm_p, norm_q = norms._lp_norms(u, (p, q))
     grad_norm_q = norms.lp_norm(gradient(u), q)
 
     lam = math.ldexp(1.0, k)

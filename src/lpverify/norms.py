@@ -64,13 +64,17 @@ def lp_norm(u: SpectralField | VectorField, p: float) -> float:
 
     Vector fields are measured through their pointwise Euclidean magnitude.
     """
-    if p < 1:
-        raise FieldError(f"L^p norm needs p >= 1, got {p}")
+    return _lp_norms(u, (p,))[0]
+
+
+def _lp_norms(u: SpectralField | VectorField, ps) -> list[float]:
+    """``lp_norm(u, p)`` for each p of ``ps``, from one sampling of u's magnitude."""
+    for p in ps:
+        if p < 1:
+            raise FieldError(f"L^p norm needs p >= 1, got {p}")
     mag = _magnitude_samples(u)
-    if math.isinf(p):
-        return float(np.max(mag))
     dV = u.grid.cell_volume
-    return float(np.sum(mag**p) * dV) ** (1.0 / p)
+    return [float(np.max(mag)) if math.isinf(p) else float(np.sum(mag**p) * dV) ** (1.0 / p) for p in ps]
 
 
 def _spectral_weighted_sq(u: SpectralField | VectorField, weight) -> float:

@@ -16,7 +16,6 @@ import math
 from collections.abc import Iterator
 
 import numpy as np
-import scipy.fft as _fft
 
 from .errors import AliasingGuardError, GridError
 from .spectral import (
@@ -25,11 +24,10 @@ from .spectral import (
     VectorField,
     _common_axis,
     _gather,
-    _half_spectrum,
+    _inverse_real,
     _scan_support,
     _take,
     _xi_at,
-    fft_workers,
     gradient,
     transform_forward,
 )
@@ -55,12 +53,13 @@ def _require_clean_band(u: SpectralField, dst: TorusGrid) -> None:
 
 def samples_on(u: SpectralField, dst: TorusGrid) -> np.ndarray:
     """Sample the trigonometric field on another grid of the same box (real
-    fields), through the same half-spectrum scatter as ``transform_inverse``."""
+    fields), through ``transform_inverse``'s kernel: only the box of the
+    half spectrum that u's band reaches is placed on ``dst`` and transformed."""
     if dst == u.grid:
         return u.samples()
     _common_axis(u.grid, dst)  # raises unless the two grids cover one box
     _require_clean_band(u, dst)
-    return _fft.irfftn(_half_spectrum(u, dst), s=(dst.n,) * 3, workers=fft_workers())
+    return _inverse_real(u, dst)
 
 
 def restrict_to(samples: np.ndarray, eval_grid: TorusGrid, out: TorusGrid) -> SpectralField:
@@ -86,9 +85,14 @@ def restrict_to(samples: np.ndarray, eval_grid: TorusGrid, out: TorusGrid) -> Sp
             out, (i * out.n + j) * out.n + k, np.take(f.coeffs, local),
             real_valued=True, mean_zero=bool(f.coeffs[0, 0, 0] == 0),
         )
-    coeffs = np.zeros((out.n,) * 3, dtype=np.complex128)
-    for octant in itertools.product(ax, repeat=3):
-        coeffs[octant] = f.coeffs[octant]
+    if e == out.n:  # the eight octants are f's own cube less its three Nyquist planes
+        coeffs = f.coeffs
+        for axis in range(3):
+            coeffs[(slice(None),) * axis + (e // 2,)] = 0
+    else:
+        coeffs = np.zeros((out.n,) * 3, dtype=np.complex128)
+        for octant in itertools.product(ax, repeat=3):
+            coeffs[octant] = f.coeffs[octant]
     return SpectralField(out, coeffs, real_valued=True, mean_zero=bool(coeffs[0, 0, 0] == 0))
 
 

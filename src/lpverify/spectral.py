@@ -29,14 +29,16 @@ gradients, the Leray projection, the pressure, fractional powers, maxima,
 band radii, block norms, Sobolev weights, the L^2 norm and pairings)
 reads and writes only the ``active`` indices, or the union of its
 operands' ``active`` sets: a known support covering at most 1/8 of the
-cube, else the whole cube.  The inverse transforms scatter a small
-support's scaled values straight into the half cube the real inverse FFT
-reads.  Products and maxima are exact, so they equal the full-cube
-evaluation bit for bit.  A sum runs over the ``active`` set in ascending
-flat order, so over a small support it adds only the nonzero terms and
-differs from a full-cube sum at rounding level.  Every sum of squares and
-every pairing goes through ``_re_dot``, which calls no BLAS routine, so its
-bits do not depend on how many threads BLAS may use.
+cube, else the whole cube.  A real field's inverse transform places only
+the box |mx|, |my| <= B, 0 <= kz <= B of its half spectrum, B its axis
+bandwidth, scattered from a small support or sliced from a cube, and runs
+each FFT pass only on the lines that box reaches; the samples equal
+``irfftn``'s bit for bit.  Products and maxima are exact, so they equal
+the full-cube evaluation bit for bit.  A sum runs over the ``active`` set
+in ascending flat order, so over a small support it adds only the nonzero
+terms and differs from a full-cube sum at rounding level.  Every sum of
+squares and every pairing goes through ``_re_dot``, which calls no BLAS
+routine, so its bits do not depend on how many threads BLAS may use.
 """
 
 from __future__ import annotations
@@ -496,8 +498,10 @@ class VectorField:
 def transform_forward(grid: TorusGrid, samples: np.ndarray) -> SpectralField:
     """Physical samples -> spectral coefficients (symmetric convention).
 
-    Real input is transformed through the half-spectrum and mirrored so the
-    stored coefficients are Hermitian-symmetric bit-exactly.
+    Real input is transformed through the half spectrum, whose kz = 0 and
+    kz = n/2 planes are averaged with their reflections; the planes
+    kz > n/2 are their conjugates, written through reversed-stride views.
+    So the stored coefficients are Hermitian-symmetric bit-exactly.
     """
     samples = np.asarray(samples)
     n = grid.n
@@ -507,71 +511,93 @@ def transform_forward(grid: TorusGrid, samples: np.ndarray) -> SpectralField:
         raise FieldError("samples contain non-finite values")
     scale = grid.cell_volume / FOURIER_NORM
     if np.isrealobj(samples):
-        half = _fft.rfftn(samples, workers=_fft_workers)
-        coeffs = _mirror_half_spectrum(half, n) * scale
-        mean_zero = coeffs[0, 0, 0] == 0
-        return SpectralField(grid, coeffs, real_valued=True, mean_zero=bool(mean_zero))
+        h = n // 2
+        coeffs = np.empty((n, n, n), dtype=np.complex128)
+        coeffs[:, :, : h + 1] = _fft.rfftn(samples, workers=_fft_workers)
+        for kz in (0, h):  # the self-conjugate planes
+            plane = coeffs[:, :, kz]
+            mirror = np.empty_like(plane)
+            _conj_reflect(plane, mirror)
+            plane[...] = 0.5 * (plane + mirror)
+        _conj_reflect(coeffs[:, :, h - 1 : 0 : -1], coeffs[:, :, h + 1 :])
+        coeffs *= scale
+        return SpectralField(grid, coeffs, real_valued=True, mean_zero=bool(coeffs[0, 0, 0] == 0))
     coeffs = _fft.fftn(samples, workers=_fft_workers) * scale
     return SpectralField(
         grid, coeffs, real_valued=False, mean_zero=bool(coeffs[0, 0, 0] == 0)
     )
 
 
+def _conj_reflect(src: np.ndarray, out: np.ndarray) -> None:
+    """out[i, j] = conj(src[-i, -j]), indices mod n on the first two axes:
+    four reversed-stride views, no gather."""
+    parts = ((slice(0, 1),) * 2, (slice(1, None), slice(None, 0, -1)))  # (out, src): 0 <- 0, i <- n - i
+    for (oi, si), (oj, sj) in itertools.product(parts, repeat=2):
+        np.conjugate(src[si, sj], out=out[oi, oj])
+
+
 def transform_inverse(u: SpectralField) -> np.ndarray:
     """Spectral coefficients -> physical samples.
 
-    A real field goes through ``_half_spectrum``, so a known small support
-    builds no n^3 coefficient cube.
+    A real field goes through ``_inverse_real``, which transforms only the
+    box of the half spectrum its band reaches; a complex one through
+    ``ifftn`` of its cube.
     """
+    if u.real_valued:
+        return _inverse_real(u, u.grid)
     n = u.grid.n
-    if not u.real_valued:
-        cube = u._at(slice(None)).reshape((n,) * 3)
-        return _fft.ifftn(cube * (FOURIER_NORM / u.grid.cell_volume), workers=_fft_workers)
-    return _fft.irfftn(_half_spectrum(u, u.grid), s=(n,) * 3, workers=_fft_workers)
+    cube = u._at(slice(None)).reshape((n,) * 3)
+    return _fft.ifftn(cube * (FOURIER_NORM / u.grid.cell_volume), workers=_fft_workers)
 
 
-def _half_spectrum(u: SpectralField, dst: TorusGrid) -> np.ndarray:
-    """The scaled kz >= 0 half cube ``irfftn`` reads to sample the real field
-    u on ``dst`` (u's grid, or one of the same box that u's band fits): a
-    small support is scattered by flat index, a cube sliced or copied."""
-    g, n = u.grid, dst.n
-    scale = FOURIER_NORM / dst.cell_volume
-    at = u.active
-    if isinstance(at, slice) and dst == g:
-        return u.coeffs[:, :, : n // 2 + 1] * scale
-    half = np.zeros((n, n, n // 2 + 1), dtype=np.complex128)
-    if isinstance(at, slice):
-        ax = _common_axis(g, dst)
-        for sx, sy in itertools.product(ax, repeat=2):
-            half[sx, sy, ax[0]] = u.coeffs[sx, sy, ax[0]]
-        half *= scale
-        return half
-    ij, kz = np.divmod(at, g.n)  # ij = ix * n + iy on u's grid
-    if dst != g:  # each axis index moves to its mode's index on dst
-        lift = g.modes % n
-        ij, kz = lift[ij // g.n] * n + lift[ij % g.n], lift[kz]
-    keep = kz <= n // 2
-    half.reshape(-1)[ij[keep] * (n // 2 + 1) + kz[keep]] = u.values[keep] * scale
-    return half
+def _inverse_real(u: SpectralField, dst: TorusGrid) -> np.ndarray:
+    """Samples of the real field u on ``dst`` (u's grid, or one of the same
+    box that u's band fits), equal bit for bit to ``irfftn`` of the scaled
+    kz >= 0 half cube.
 
-
-def _mirror_half_spectrum(half: np.ndarray, n: int) -> np.ndarray:
-    """Expand an rfftn half-spectrum to the full Hermitian cube.
-
-    The kz = 0 and kz = n/2 planes are self-conjugate; averaging them with
-    their reflections makes the stored symmetry bit-exact.
+    Only the box |mx|, |my| <= B, 0 <= kz <= B of the half cube is nonzero,
+    B = u's axis bandwidth.  It is scattered from a small support, or sliced
+    from the cube, into a zeroed half cube.  Then ``ifft`` runs along axis 0
+    on the box's lines, along axis 1 on the kz <= B slab, and ``irfft``
+    along axis 2: the passes of ``irfftn``, in its order, on the lines
+    where they can meet a nonzero (Markel's FFT pruning).  The two ``ifft``
+    passes do not scale, and ``irfft`` scales by 1/n where ``irfftn``
+    scales by 1/n^3; 1/n^2 is a power of two, so it folds into the input's
+    scale exactly.  When 2B + 1 >= n (a field on its Nyquist planes) the
+    box is the whole half cube, for ``irfftn``.
     """
-    half = np.array(half, dtype=np.complex128)
-    rev = _reflect_index(n)
-    for kz in (0, n // 2):
-        plane = half[:, :, kz]
-        half[:, :, kz] = 0.5 * (plane + np.conj(plane[rev][:, rev]))
-    full = np.empty((n, n, n), dtype=np.complex128)
-    full[:, :, : n // 2 + 1] = half
-    # remaining planes kz = n/2+1 .. n-1 carry conj at reflected indices
-    src = np.conj(half[:, :, 1 : n // 2][rev][:, rev])
-    full[:, :, n // 2 + 1 :] = src[:, :, ::-1]
-    return full
+    g, n = u.grid, dst.n
+    h = n // 2
+    b = min(u.band_axis, h)
+    whole = 2 * b + 1 >= n
+    d = h + 1 if whole else b + 1  # the box's kz planes
+    scale = FOURIER_NORM / dst.cell_volume
+    if not whole:
+        scale /= n * n
+    at = u.active
+    half = np.zeros((n, n, h + 1), dtype=np.complex128)
+    if isinstance(at, slice):  # the four blocks of modes 0..b and -b..-1 on axes 0 and 1
+        blocks = ((slice(0, b + 1), slice(0, b + 1)), (slice(n - b, n), slice(g.n - b, g.n)))
+        for (dx, sx), (dy, sy) in itertools.product(blocks, repeat=2):
+            np.multiply(u.coeffs[sx, sy, :d], scale, out=half[dx, dy, :d])
+    else:
+        lift = g.modes % n  # an axis index on u's grid -> its mode's index on dst
+        ix, iy, iz = (lift[i] for i in np.unravel_index(at, (g.n,) * 3))
+        keep = iz < d
+        half.reshape(-1)[(ix[keep] * n + iy[keep]) * (h + 1) + iz[keep]] = u.values[keep] * scale
+    if whole:
+        return _fft.irfftn(half, s=(n,) * 3, workers=_fft_workers)
+    for ys in (slice(0, b + 1), slice(n - b, n))[: 1 + (b > 0)]:
+        _ifft_unscaled(half[:, ys, :d], 0)
+    _ifft_unscaled(half[:, :, :d], 1)
+    return _fft.irfft(half, n=n, axis=2, workers=_fft_workers)
+
+
+def _ifft_unscaled(a: np.ndarray, axis: int) -> None:
+    """Overwrite the view ``a`` with its unscaled inverse FFT along ``axis``."""
+    out = _fft.ifft(a, axis=axis, norm="forward", overwrite_x=True, workers=_fft_workers)
+    if not np.may_share_memory(out, a):  # scipy may return a copy rather than overwrite
+        a[...] = out
 
 
 # ---------------------------------------------------------------------------

@@ -657,12 +657,12 @@ def _suite_diagnostics(cfg: SuiteConfig) -> SuiteResult:
             checks.append(_info(f"windowed-min-{key}-s={s}", "windowed-liminf-surrogate", val,
                                 detail="minimum over the finite window, not a true limit"))
     norm_rows = []
+    lebesgue = [norms.NormReport("lebesgue", p, "quadrature", v)
+                for p, v in zip((2.0, 3.0, 6.0), norms._lp_norms(u, (2.0, 3.0, 6.0)))]
     for s in cfg.s_values:
         sv = float(ledger.as_fraction(s))
         for report in (
-            norms.NormReport("lebesgue", 2.0, "quadrature", norms.lp_norm(u, 2.0)),
-            norms.NormReport("lebesgue", 3.0, "quadrature", norms.lp_norm(u, 3.0)),
-            norms.NormReport("lebesgue", 6.0, "quadrature", norms.lp_norm(u, 6.0)),
+            *lebesgue,
             norms.NormReport("dirichlet", 1.0, "fourier", norms.dirichlet(u)),
             norms.NormReport("fractional-dirichlet", sv, "fourier", norms.fractional_dirichlet(u, sv)),
             norms.NormReport("sobolev", sv, "fourier", norms.sobolev_norm(u, sv)),

@@ -310,6 +310,41 @@ def _random_cube(n, seed, count, real, top=None):
     return cube
 
 
+def _band_cube(n, b, seed, odd=False):
+    """A Hermitian cube with random modes in the box |m| <= b per axis (b < n/2),
+    few enough to be stored on their support, and the modes (b, 0, 0),
+    (0, b, 0), (0, 0, b), so the axis bandwidth is b.  ``odd`` makes the
+    coefficients imaginary: a sine series, whose samples hold exact zeros
+    (and the zero field for b = 0)."""
+    rng = np.random.default_rng(seed)
+    box = np.ix_(*[np.flatnonzero(np.abs(TorusGrid(n).modes) <= b)] * 3)
+    shape = (2 * b + 1,) * 3
+    vals = rng.standard_normal(shape) + (0.0 if odd else 1.0) * rng.standard_normal(shape) * 1j
+    keep = rng.random(shape) < n**3 / (32 * (2 * b + 1) ** 3)
+    cube = np.zeros((n,) * 3, dtype=np.complex128)
+    cube[box] = (1j if odd else 1.0) * vals * keep
+    for axis in range(3):
+        cube[tuple(b if a == axis else 0 for a in range(3))] = 1j if odd else 1.0
+    rev = spectral._reflect_index(n)
+    return 0.5 * (cube + np.conj(cube[rev][:, rev][:, :, rev]))
+
+
+def _band_cases(n):
+    """(B, cube) of real fields of axis bandwidth B: B in {0, 1, 2, n/4, n/2 - 1},
+    generic and odd, and B = n/2 for modes on the Nyquist planes."""
+    for i, b in enumerate(sorted({0, 1, 2, n // 4, n // 2 - 1})):
+        for odd in (False, True):
+            yield b, _band_cube(n, b, 100 * n + 2 * i + odd, odd)
+    yield n // 2, _random_cube(n, 5 * n, n, True)
+
+
+def _assert_bits(a, b):
+    """``a`` and ``b`` hold the same float64 bits: equal values, signs of zero included."""
+    a, b = (x.view(np.float64) if np.iscomplexobj(x) else x for x in (np.asarray(a), np.asarray(b)))
+    assert a.shape == b.shape and np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
 def _stored_and_dense(grid, cube, real):
     flags = dict(real_valued=real, mean_zero=bool(cube[0, 0, 0] == 0))
     at = np.flatnonzero(cube)
@@ -390,6 +425,20 @@ def test_stored_support_matches_dense_cube(n, real):
         _same(spectral.divergence(vs), spectral.divergence(VectorField((d, d2, d))))
         _same(spectral.divergence(gs), spectral.divergence(gd))
         _assert_exact_support(spectral.divergence(gs))
+    if not real:
+        return
+    for b, cube in _band_cases(n):  # the band box of the inverse kernel
+        s, d = _stored_and_dense(g, cube, True)
+        assert s.band_axis == d.band_axis == (0 if not cube.any() else b)
+        want = _parent_transform_inverse(d)
+        _assert_bits(_parent_transform_inverse(s), want)
+        for workers in (1, 2):
+            spectral.set_fft_workers(workers)
+            try:
+                for x in (s, d):
+                    _assert_bits(spectral.transform_inverse(x), want)
+            finally:
+                spectral.set_fft_workers(1)
 
 
 @pytest.mark.parametrize("n", [16, 32, 64])
@@ -402,11 +451,88 @@ def test_stored_support_samples_on_other_grids(n):
             assert np.array_equal(_parent_samples_on(s, dst), want)
             assert np.array_equal(products.samples_on(s, dst), want)
             assert np.array_equal(products.samples_on(d, dst), want)
+    for b, cube in _band_cases(n):  # the same, a coarser and a finer grid
+        s, d = _stored_and_dense(g, cube, True)
+        for dst in (g, TorusGrid(n // 2, TWO_PI), TorusGrid(2 * n, TWO_PI)):
+            if dst != g and b > min(n, dst.n) // 2 - 1:
+                continue
+            want = _parent_transform_inverse(d) if dst == g else _parent_samples_on(d, dst)
+            _assert_bits(_parent_samples_on(s, dst) if dst != g else _parent_transform_inverse(s), want)
+            for x in (s, d):
+                _assert_bits(products.samples_on(x, dst), want)
     # energy on a Nyquist plane is rejected alike
     s, d = _stored_and_dense(g, _random_cube(n, 1, n, True), True)
     for u in (s, d):
         with pytest.raises(AliasingGuardError):
             products.samples_on(u, TorusGrid(2 * n, TWO_PI))
+
+
+def _parent_mirror_half_spectrum(half, n):
+    """The gather-based mirror of the forward transform before the
+    reversed-stride views: the kz = 0 and kz = n/2 planes averaged with
+    their reflections, the planes kz > n/2 gathered by reflected index."""
+    half = np.array(half, dtype=np.complex128)
+    rev = spectral._reflect_index(n)
+    for kz in (0, n // 2):
+        plane = half[:, :, kz]
+        half[:, :, kz] = 0.5 * (plane + np.conj(plane[rev][:, rev]))
+    full = np.empty((n, n, n), dtype=np.complex128)
+    full[:, :, : n // 2 + 1] = half
+    src = np.conj(half[:, :, 1 : n // 2][rev][:, rev])
+    full[:, :, n // 2 + 1 :] = src[:, :, ::-1]
+    return full
+
+
+def _parent_transform_forward(grid, samples):
+    return _parent_mirror_half_spectrum(scipy.fft.rfftn(samples), grid.n) * (grid.cell_volume / FOURIER_NORM)
+
+
+def _parent_restrict_to(samples, eval_grid, out):
+    """``restrict_to``'s cube by the octant copy: every mode both grids
+    resolve but their Nyquist planes, copied into a zeroed cube of ``out``."""
+    f = _parent_transform_forward(eval_grid, samples)
+    h = min(eval_grid.n, out.n) // 2 - 1
+    coeffs = np.zeros((out.n,) * 3, dtype=np.complex128)
+    for octant in itertools.product((slice(0, h + 1), slice(-h, None)), repeat=3):
+        coeffs[octant] = f[octant]
+    return coeffs
+
+
+def _forward_samples(n):
+    """Real samples: random, random integers, and trigonometric polynomials
+    whose spectra hold exact zeros of either sign."""
+    rng = np.random.default_rng(n)
+    x, y, z = TorusGrid(n).mesh
+    return (rng.standard_normal((n,) * 3), rng.integers(-3, 4, (n,) * 3).astype(float),
+            np.cos(x) * np.sin(2 * y) - np.sin(3 * z), np.sin(x + y) ** 2, np.zeros((n,) * 3))
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_forward_mirror_matches_gather_oracle(n):
+    g = TorusGrid(n, TWO_PI)
+    for samples in _forward_samples(n):
+        for workers in (1, 2):
+            spectral.set_fft_workers(workers)
+            try:
+                f = spectral.transform_forward(g, samples)
+            finally:
+                spectral.set_fft_workers(1)
+            _assert_bits(f.coeffs, _parent_transform_forward(g, samples))
+            assert f.real_valued and f.hermitian_defect() == 0.0
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_restrict_to_matches_octant_copy(n):
+    g = TorusGrid(n, TWO_PI)
+    for samples in _forward_samples(n):
+        for out in (g, TorusGrid(n // 2, TWO_PI), TorusGrid(2 * n, TWO_PI)):  # native, coarser, finer
+            r = products.restrict_to(samples, g, out)
+            want = _parent_restrict_to(samples, g, out)
+            assert r.real_valued and r.mean_zero == (want[0, 0, 0] == 0)
+            if out.n > n:  # lifted from a scan of the nonzero modes: +0.0 off the support
+                assert np.array_equal(r.coeffs, want)
+                want = np.where(want == 0, 0.0, want)
+            _assert_bits(r.coeffs, want)
 
 
 def test_band_product_at_128_allocates_no_cube():
