@@ -25,9 +25,11 @@ ledgers are bit-deterministic.
 from __future__ import annotations
 
 import math
-import os
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,9 +117,11 @@ def _split(c_l: dict[int, float], m: int) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# workspace: memoized filtered fields and their physical samples
+# workspace and plans
 #
 # A filter is a tuple of bands (a, b), as in the ``dyadic`` module docstring.
+# A table maps names to terms, each an iterable of steps.  A step is a triple
+# (X, Y, Z) of filters, valued tri(X, Y, Z), or a ``_Product``.
 
 
 def _band(a, b) -> tuple:
@@ -132,18 +136,27 @@ def _block(l: int) -> tuple:  # Delta_l
     return _band(l, l + 1)
 
 
-_WORKSPACE_BYTES = int(os.environ.get("LPVERIFY_BUDGET_BYTES", 0)) // 3 or 1280 * 1024**2
+class _Product(NamedTuple):
+    """A step valued ``finish`` of the product of component i of u filtered by
+    a and component j of u filtered by b; it is left out if either is zero."""
+
+    a: tuple
+    i: int
+    b: tuple
+    j: int
+    finish: Callable
+
+
+def _filtrate(u: VectorField, key: tuple) -> VectorField:
+    """u filtered by ``key``, a canonical filter (u itself for ())."""
+    return dyadic.band(u, key) if key else u
 
 
 class _Workspace:
-    """Filtered fields and their samples for one (u, k) ledger evaluation.
+    """One (u, k): the canonical key of each filter, and the runner of plans.
 
-    Each trilinear term is a quadrature on the smallest power-of-two grid
-    n' >= 8 with n' > sum B and n' > 2 max B, B its factors' axis
-    bandwidths (``products._eval_grid_for``).  A filter is read through its
-    canonical ``key``, so a filtrate is built once however it is spelled
-    and sampled once per grid, in one ``products._Sampler`` with the
-    samples of its gradient, under one byte budget, oldest evicted first.
+    A filter is read through its canonical ``key``, so a filtrate is built
+    and sampled once per grid in a ``_Plan`` however it is spelled.
     """
 
     def __init__(self, u: VectorField, k: int):
@@ -161,9 +174,9 @@ class _Workspace:
         # highest level whose block can act on this field
         self.l_top = dyadic._floor_log2(self.r) + 1 if self.r > 0 else self.window.k_min
         self.l_bot = self.window.k_min
+        self.levels = range(k - 1, self.l_top + 1)  # the tail's blocks that can meet u
         self.low = _low(k)
         self.tail = _band(k, math.inf)
-        self.samples = products._Sampler(_WORKSPACE_BYTES)
 
     def key(self, filt: tuple) -> tuple:
         """The canonical filter of ``filt``, which filters u bit for bit alike.
@@ -189,32 +202,89 @@ class _Workspace:
             bands = [band for band in bands if band != (-math.inf, math.inf)]
         return tuple(sorted(bands))
 
-    # -- filtered fields ----------------------------------------------------
+    def run(self, *parts) -> list:
+        """Each part's report, ``finish`` of the values of one ``_Plan`` of the
+        tables of all ``parts``, pairs (table, finish)."""
+        values = _Plan(self, {name: term for table, _ in parts for name, term in table.items()}).run()
+        return [finish(values) for _, finish in parts]
 
-    def field(self, key: tuple) -> VectorField:
-        """u filtered by ``key``, a canonical filter (u itself for ())."""
-        if not key:
-            return self.u
-        if key in self.samples.held:
-            return self.samples.held[key][0]
-        out = dyadic.band(self.u, key)
-        self.samples.keep(key, out, sum(c.nbytes for c in out.components))
-        return out
 
-    # -- the elementary integral --------------------------------------------
+class _Plan:
+    """A table's steps and the sample slots each reads, worked out before any FFT.
 
-    def tri(self, xf: tuple, yf: tuple, zf: tuple) -> float:
-        """integral of X . grad Y . Z dx over the torus (``products._tri``)."""
-        keys = [self.key(f) for f in (xf, yf, zf)]
-        return products._tri(self.samples, [self.field(key) for key in keys], keys)
+    Each filter is keyed once, and each filtrate is built once here for its
+    ``products._shape``.  A slot is (key and component, grid n, gradient or
+    not): a triple reads the slots ``products._tri_reads`` names, a product
+    two on the grid ``products._eval_grid_for`` names.  ``samples`` counts
+    the arrays sampled per grid n, ``peak_bytes`` the most bytes of samples
+    held at once.  ``run`` evaluates the steps in order, holding filtrates
+    and samples in ``sampler``: it builds a filtrate again and samples a
+    slot at the first step that reads it, and drops both after the last.
+    """
 
-    # -- resonant per-level integrals ---------------------------------------
+    def __init__(self, ws: _Workspace, table: dict):
+        self.u, self.names, self.sampler = ws.u, list(table), products._Sampler()
+        keys: dict = {}
+        shapes: dict = {}
+        self.last: dict = {}  # slot or filtrate key -> the last step that reads it
+        self.steps = []  # (name, step, its filtrates' keys, the slots it reads)
+        for name, term in table.items():
+            for step in term:
+                product = isinstance(step, _Product)
+                filters = (step.a, step.b) if product else step
+                for filt in filters:
+                    if filt not in keys:
+                        keys[filt] = ws.key(filt)
+                        if keys[filt] not in shapes:
+                            shapes[keys[filt]] = products._shape(_filtrate(ws.u, keys[filt]))
+                ks = tuple(keys[f] for f in filters)
+                if product:
+                    (nz_a, band_a), (nz_b, band_b) = shapes[ks[0]][step.i], shapes[ks[1]][step.j]
+                    if not (nz_a and nz_b):
+                        continue  # a zero product is left out
+                    eg = products._eval_grid_for(ws.grid, (band_a, band_b))
+                    form = eg, [(0, step.i, False), (1, step.j, False)]
+                else:
+                    form = products._tri_reads(ws.grid, [shapes[k] for k in ks])
+                reads = form[1] if form else []
+                slots = list(dict.fromkeys(((ks[f], i), form[0].n, grad) for f, i, grad in reads))
+                for x in slots + (list(ks) if slots else []):
+                    self.last[x] = len(self.steps)
+                self.steps.append((name, step, ks, slots))
+        self.samples: dict[int, int] = {}
+        live: dict = {}  # the bytes of each slot held
+        self.peak_bytes = 0
+        for t, (_, _, _, slots) in enumerate(self.steps):
+            for slot in slots:
+                if slot not in live:  # its first step
+                    n, arrays = slot[1], 3 if slot[2] else 1
+                    self.samples[n] = self.samples.get(n, 0) + arrays
+                    live[slot] = arrays * 8 * n**3
+            self.peak_bytes = max(self.peak_bytes, sum(live.values()))
+            for slot in slots:
+                if self.last[slot] == t:
+                    del live[slot]
 
-    def resonant_terms(self, y: tuple) -> dict[int, float]:
-        """c_l = tri(T_l, y, D_l) per level; D_l, T_l: block l, blocks l-2..l+2 of the tail."""
-        out = {}
-        for l in range(self.k - 1, self.l_top + 1):
-            out[l] = self.tri(_band(l - 2, l + 3) + self.tail, y, _block(l) + self.tail)
+    def run(self) -> dict[str, list]:
+        """{name: the value of each of its steps}."""
+        out: dict[str, list] = {name: [] for name in self.names}
+        held = self.sampler.held
+        for t, (name, step, ks, slots) in enumerate(self.steps):
+            if slots:
+                for k in ks:
+                    if k not in held:
+                        held[k] = _filtrate(self.u, k)
+                f = [held[k] for k in ks]
+                if isinstance(step, _Product):
+                    comps = f[0].components[step.i], f[1].components[step.j]
+                    keys = (ks[0], step.i), (ks[1], step.j)
+                    value = step.finish(products._product(*comps, self.sampler, keys))
+                else:
+                    value = products._tri(self.sampler, f, ks)
+                for x in {*slots, *ks}:
+                    if self.last[x] == t:
+                        del held[x]
+            out[name].append(value if slots else 0.0)  # a triple that reads nothing is zero
         return out
 
 
@@ -222,33 +292,23 @@ class _Workspace:
 # classical ledger
 
 
-def _i12_expanded(ws: _Workspace, low: tuple) -> float:
-    k = ws.k
-    total = 0.0
-    for l in range(k - 1, k + 3):
-        for lp in range(l - 2, k):
-            total += ws.tri(_low(l - 2) + low, _block(lp), _block(l) + ws.tail)
-    return total
+def _i12(ws: _Workspace, y: tuple):
+    """I12's triples, with y in place of S_k in the advecting low-pass."""
+    for l in range(ws.k - 1, ws.k + 3):
+        for lp in range(l - 2, ws.k):
+            yield _low(l - 2) + y, _block(lp), _block(l) + ws.tail
 
 
-def _i13(ws: _Workspace, y: tuple) -> float:
-    k = ws.k
-    total = 0.0
-    for l in range(k - 3, k + 1):
-        total += ws.tri(_block(l) + ws.low, y, _band(l - 2, l + 3) + ws.tail)
-    return total
+def _i13(ws: _Workspace, y: tuple):
+    """I13's triples, with y as the advected factor."""
+    for l in range(ws.k - 3, ws.k + 1):
+        yield _block(l) + ws.low, y, _band(l - 2, l + 3) + ws.tail
 
 
-def _vanishing_terms(ws: _Workspace) -> tuple[float, float, float]:
-    k = ws.k
-    lo = min(ws.l_bot - 1, k - 2)
-    hi = ws.l_top + 1
-    i11 = i21 = i22 = 0.0
-    for l in range(lo, hi + 1):
-        i11 += ws.tri(_block(l) + ws.low, ws.low, _low(l - 2) + ws.tail)
-        i21 += ws.tri(_block(l) + ws.tail, ws.low, _low(l - 2) + ws.tail)
-        i22 += ws.tri(_low(l - 2) + ws.tail, ws.low, _block(l) + ws.tail)
-    return i11, i21, i22
+def _resonant(ws: _Workspace, y: tuple):
+    """c_l = tri(T_l, y, D_l) per level of ws.levels; D_l, T_l: block l, blocks l-2..l+2 of the tail."""
+    for l in ws.levels:
+        yield _band(l - 2, l + 3) + ws.tail, y, _block(l) + ws.tail
 
 
 def ledger_classical(u: VectorField, k: int, theta=Fraction(1, 2)) -> TrilinearLedger:
@@ -257,41 +317,48 @@ def ledger_classical(u: VectorField, k: int, theta=Fraction(1, 2)) -> TrilinearL
     Requires u mean-zero, divergence-free, band-limited inside the grid
     window.  theta in (0,1) sets the resonant split index [theta k].
     """
-    return _ledger_classical(_Workspace(u, k), theta)
+    ws = _Workspace(u, k)
+    return ws.run(_classical(ws, theta))[0]
 
 
-def _ledger_classical(ws: _Workspace, theta) -> TrilinearLedger:
-    """``ledger_classical`` of ws.u at ws.k, on a given workspace."""
+def _classical(ws: _Workspace, theta) -> tuple[dict, Callable]:
+    """``ledger_classical`` of ws.u at ws.k as a part for ``_Workspace.run``."""
     theta = as_fraction(theta)
     if not (0 < theta < 1):
         raise FieldError(f"theta must lie in (0, 1), got {theta}")
     if not ws.u.div_free:
         raise FieldError("ledger_classical expects a certified divergence-free field")
-    k = ws.k
-    terms: dict[str, float] = {}
+    k, low, tail = ws.k, ws.low, ws.tail
+    ls = range(min(ws.l_bot - 1, k - 2), ws.l_top + 2)
+    table = {
+        "I1": [(low, low, tail)],
+        "I2": [(tail, low, tail)],
+        "I3": [((), tail, tail)],
+        # vanishing by support disjointness
+        "I11": [(_block(l) + low, low, _low(l - 2) + tail) for l in ls],
+        "I21": [(_block(l) + tail, low, _low(l - 2) + tail) for l in ls],
+        "I22": [(_low(l - 2) + tail, low, _block(l) + tail) for l in ls],
+        "I12": _i12(ws, low),
+        "I13": _i13(ws, low),
+        "I23": _resonant(ws, low),
+        "total": [((), (), tail)],
+    }
 
-    terms["I1"] = ws.tri(ws.low, ws.low, ws.tail)
-    terms["I2"] = ws.tri(ws.tail, ws.low, ws.tail)
-    terms["I3"] = ws.tri((), ws.tail, ws.tail)
-    terms["I11"], terms["I21"], terms["I22"] = _vanishing_terms(ws)
-    terms["I12"] = _i12_expanded(ws, ws.low)
-    terms["I13"] = _i13(ws, ws.low)
+    def finish(values: dict) -> TrilinearLedger:
+        terms = {name: _left_sum(values[name]) for name in table if name != "total"}
+        c_l = dict(zip(ws.levels, values["I23"]))
+        terms["I231"], terms["I232"] = _split(c_l, split_index(theta, k))
+        terms["snc_rhs_1"] = terms["I12"]
+        terms["snc_rhs_2"] = terms["I13"]
+        terms["snc_rhs_3"], _ = _split(c_l, split_index(Fraction(1, 2), k))
+        terms["recon_residual"] = abs(
+            values["total"][0] - (terms["I12"] + terms["I13"] + terms["I231"] + terms["I232"])
+        )
+        return TrilinearLedger(
+            k=k, theta=float(theta), s=None, terms=terms, scale=ledger_scale(ws.u), resonant=c_l
+        )
 
-    c_l = ws.resonant_terms(ws.low)
-    terms["I23"] = _left_sum(c_l.values())
-    terms["I231"], terms["I232"] = _split(c_l, split_index(theta, k))
-
-    terms["snc_rhs_1"] = terms["I12"]
-    terms["snc_rhs_2"] = terms["I13"]
-    terms["snc_rhs_3"], _ = _split(c_l, split_index(Fraction(1, 2), k))
-
-    total = ws.tri((), (), ws.tail)
-    terms["recon_residual"] = abs(
-        total - (terms["I12"] + terms["I13"] + terms["I231"] + terms["I232"])
-    )
-    return TrilinearLedger(
-        k=k, theta=float(theta), s=None, terms=terms, scale=ledger_scale(ws.u), resonant=c_l
-    )
+    return table, finish
 
 
 # ---------------------------------------------------------------------------
@@ -377,25 +444,23 @@ def ledger_fractional_high(u: VectorField, k: int, s) -> TrilinearLedger:
     ws = _Workspace(u, k)
     m1 = split_index(theta, k)
     m2 = split_index(Fraction(1, 2), k)
-
-    def parts(level_sum, m: int) -> tuple[float, float]:
+    table: dict = {}
+    for name, term, m in (("J1", _i12, m1), ("J2", _i13, m2), ("J3", _resonant, m2)):
+        table[name] = term(ws, ws.low)
         # removed and retained parts: S_m, then the band m .. k-1, in place of S_k
-        return level_sum(_low(m)), level_sum(_band(m, k)) if m <= k - 1 else 0.0
+        table[f"{name}_low"] = term(ws, _low(m))
+        table[f"{name}_high"] = term(ws, _band(m, k)) if m <= k - 1 else ()
+    table["total"] = [((), ws.low, ())]
 
-    terms: dict[str, float] = {}
-    terms["J1"] = _i12_expanded(ws, ws.low)
-    terms["J1_low"], terms["J1_high"] = parts(lambda y: _i12_expanded(ws, y), m1)
-    terms["J2"] = _i13(ws, ws.low)
-    terms["J2_low"], terms["J2_high"] = parts(lambda y: _i13(ws, y), m2)
-    c_l = ws.resonant_terms(ws.low)
-    terms["J3"] = _left_sum(c_l.values())
-    terms["J3_low"], terms["J3_high"] = parts(lambda y: _left_sum(ws.resonant_terms(y).values()), m2)
+    def finish(values: dict) -> TrilinearLedger:
+        terms = {name: _left_sum(values[name]) for name in table if name != "total"}
+        terms["recon_residual"] = abs(values["total"][0] - (terms["J1"] + terms["J2"] + terms["J3"]))
+        return TrilinearLedger(
+            k=k, theta=float(theta), s=float(sf), terms=terms, scale=ledger_scale(u),
+            resonant=dict(zip(ws.levels, values["J3"])),
+        )
 
-    total = ws.tri((), ws.low, ())
-    terms["recon_residual"] = abs(total - (terms["J1"] + terms["J2"] + terms["J3"]))
-    return TrilinearLedger(
-        k=k, theta=float(theta), s=float(sf), terms=terms, scale=ledger_scale(u), resonant=c_l
-    )
+    return ws.run((table, finish))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -482,21 +547,18 @@ def remainder_decay(u: VectorField, term: str, k_range, theta_or_s=Fraction(1, 2
         raise WindowError("empty level range")
 
     if term in ("I232", "fractional-remainder"):
-        if term == "I232":
-            theta = as_fraction(theta_or_s)
-            predicted = 1.5 - 2.0 * float(theta)
-        else:
-            s = as_fraction(theta_or_s)
-            theta = Fraction(1, 2)
-            predicted = 2.5 - 2.0 * float(s)
+        param = as_fraction(theta_or_s)  # theta for I232, s for the other
+        theta = param if term == "I232" else Fraction(1, 2)
+        predicted = 1.5 - 2.0 * float(param) if term == "I232" else 2.5 - 2.0 * float(param)
         pts = []
         for k in k_list:
             ws = _Workspace(u, k)
-            pts.append((k, _split(ws.resonant_terms(ws.low), split_index(theta, k))[1]))
+            c_l = dict(zip(ws.levels, _Plan(ws, {"I23": _resonant(ws, ws.low)}).run()["I23"]))
+            pts.append((k, _split(c_l, split_index(theta, k))[1]))
         fit = fit_decay(pts)
         return DecaySeries(
             term=term,
-            parameter=float(theta_or_s if term == "I232" else as_fraction(theta_or_s)),
+            parameter=float(param),
             points=tuple(pts),
             fit=fit,
             fit_range=(k_list[0], k_list[-1]),
@@ -579,29 +641,23 @@ def support_audit(u: VectorField, k: int) -> SupportAuditReport:
     rounding level.  The gradient of the low-pass itself has bit-exact
     support inside the open ball of radius 2^k.
 
-    Each level's three filtrates are sampled once per component and grid,
-    not once per product, through the ledger workspace's sampler.
+    Its products sample each filtrate once per component and grid, in one
+    ``_Plan``, which a ledger on the same workspace can join (``_audit``).
     """
-    return _support_audit(_Workspace(u, k))
+    ws = _Workspace(u, k)
+    return ws.run(_audit(ws))[0]
 
 
-def _support_audit(ws: _Workspace) -> SupportAuditReport:
-    """``support_audit`` of ws.u at ws.k; its samples are shared with any
-    ledger evaluated on the same workspace."""
+def _audit(ws: _Workspace) -> tuple[dict, Callable]:
+    """``support_audit`` of ws.u at ws.k as a part for ``_Workspace.run``."""
     k = ws.k
     g = ws.grid
-    rows: list[AuditRow] = []
-    su = ws.field(ws.key(ws.low))
+    su = _filtrate(ws.u, ws.key(ws.low))
     grad_su = [gradient(c).components for c in su.components]
     grad_ok = all(gc.band_radius() < math.ldexp(1.0, k) for comps in grad_su for gc in comps)
     grad_scale = math.sqrt(norms.dirichlet(su))
 
-    def audit_product(term: str, l: int, a: tuple, b: tuple):
-        # a, b: (filter key, component index), sampled through the workspace
-        fa, fb = (ws.field(key).components[i] for key, i in (a, b))
-        if fa.max_abs_coeff() == 0.0 or fb.max_abs_coeff() == 0.0:
-            return
-        p = products._product(fa, fb, ws.samples, (a, b))
+    def row(term: str, l: int, p) -> AuditRow:
         lo, hi, max_in, max_out = dyadic.annulus_audit(p, l)
         scale = max(max_in, max_out)
         pairing = 0.0
@@ -612,27 +668,32 @@ def _support_audit(ws: _Workspace) -> SupportAuditReport:
                 for gc in comps:
                     val = abs(_re_dot(gc.values, p._at(gc.active)) * g.spectral_cell)
                     pairing = max(pairing, val / norm)
-        rows.append(AuditRow(term, l, lo, hi, max_out, pairing, disjoint, scale))
+        return AuditRow(term, l, lo, hi, max_out, pairing, disjoint, scale)
 
-    for l in range(k - 1, ws.l_top + 1):
-        dl, ss, st = (ws.key(f) for f in (_block(l) + ws.tail, _low(l - 2) + ws.low, _low(l - 2) + ws.tail))
+    steps = []
+    for l in ws.levels:
+        dl, ss, st = _block(l) + ws.tail, _low(l - 2) + ws.low, _low(l - 2) + ws.tail
         for i in range(3):
             for j in range(3):
-                audit_product("I12-summand", l, (dl, i), (ss, j))
-                audit_product("I21-I22-summand", l, (dl, i), (st, j))
+                steps.append(_Product(dl, i, ss, j, partial(row, "I12-summand", l)))
+                steps.append(_Product(dl, i, st, j, partial(row, "I21-I22-summand", l)))
 
-    violations = sum(
-        1
-        for r in rows
-        if r.scale > 0
-        and (
-            r.max_outside > _AUDIT_RTOL * r.scale
-            or (r.pairing_disjoint and r.pairing > _AUDIT_RTOL)
+    def finish(values: dict) -> SupportAuditReport:
+        rows = tuple(values["audit"])
+        violations = sum(
+            1
+            for r in rows
+            if r.scale > 0
+            and (
+                r.max_outside > _AUDIT_RTOL * r.scale
+                or (r.pairing_disjoint and r.pairing > _AUDIT_RTOL)
+            )
         )
-    )
-    return SupportAuditReport(
-        k=k, rows=tuple(rows), lowpass_grad_support_exact=grad_ok, violations=violations
-    )
+        return SupportAuditReport(
+            k=k, rows=rows, lowpass_grad_support_exact=grad_ok, violations=violations
+        )
+
+    return {"audit": steps}, finish
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ form needs only the zero mode of its integrand, t = 0.
 from __future__ import annotations
 
 import itertools
-import math
 from collections.abc import Iterator
 
 import numpy as np
@@ -132,34 +131,25 @@ class _Sampler:
 
     A key names one scalar field for as long as the sampler lives; the key
     None samples afresh and keeps nothing.  A zero field samples to None.
-    One byte count covers all that is held, including what a caller
-    ``keep``s beside the samples, and past ``budget`` the oldest entries go
-    first.
+    ``held`` maps each slot (key, grid n, gradient or not) to its samples,
+    which stay until their holder drops them from it.
     """
 
-    def __init__(self, budget: float = math.inf):
-        self.budget = budget
-        self.nbytes = 0
-        self.held: dict = {}  # slot -> (value, bytes charged when kept)
+    def __init__(self):
+        self.held: dict = {}
 
     def __call__(self, key, c: SpectralField, eg: TorusGrid, grad: bool = False):
         """c sampled on eg, or the list of its gradient's three components."""
         slot = (key, eg.n, grad)
         if slot in self.held:
-            return self.held[slot][0]
+            return self.held[slot]
         arrays = []
         if c.max_abs_coeff() != 0.0:
             arrays = [samples_on(g, eg) for g in (gradient(c).components if grad else (c,))]
         out = (arrays if grad else arrays[0]) if arrays else None
         if key is not None:
-            self.keep(slot, out, sum(a.nbytes for a in arrays))
+            self.held[slot] = out
         return out
-
-    def keep(self, slot, value, nbytes: int) -> None:
-        self.held[slot] = (value, nbytes)
-        self.nbytes += nbytes
-        while self.nbytes > self.budget:
-            self.nbytes -= self.held.pop(next(iter(self.held)))[1]
 
 
 def advective_term(u: VectorField, a: VectorField) -> VectorField:
@@ -211,27 +201,39 @@ def _trilinear_sweep(u: VectorField, a: VectorField, bs) -> list[float]:
     return out
 
 
-def _tri(sample: _Sampler, factors, keys) -> float:
-    """integral of X . grad Y . Z dx for ``factors`` (X, Y, Z), a quadrature
-    on the grid ``_eval_grid_for`` names for their axis bandwidths, t = 0.
+def _shape(f: VectorField) -> list[tuple[bool, int]]:
+    """(nonzero, axis bandwidth) of each component of f."""
+    return [(c.max_abs_coeff() != 0.0, c.band_axis) for c in f.components]
 
-    ``sample`` holds the factors' samples under ``keys``, one per factor
-    (None: sampled afresh).  Only the components i where Y_i and Z_i are
-    both nonzero are paired, and nothing is sampled if X is zero or no
-    component pairs.
-    """
-    x, y, z = (f.components for f in factors)
-    pairs = [i for i in range(3) if y[i].max_abs_coeff() != 0.0 and z[i].max_abs_coeff() != 0.0]
-    if not pairs or all(c.max_abs_coeff() == 0.0 for c in x):
+
+def _tri_reads(grid: TorusGrid, shapes) -> tuple[TorusGrid, list] | None:
+    """The grid and the reads of the quadrature of X . grad Y . Z, from each
+    factor's ``_shape``; None if X is zero or no component i has Y_i and Z_i
+    both nonzero.  The grid is ``_eval_grid_for``'s, t = 0; the reads are
+    (factor, component, gradient or not): each nonzero X_j, then grad Y_i
+    and Z_i for each such i."""
+    x, y, z = ([nonzero for nonzero, _ in s] for s in shapes)
+    pairs = [i for i in range(3) if y[i] and z[i]]
+    if not pairs or not any(x):
+        return None
+    eg = _eval_grid_for(grid, [max(band for _, band in s) for s in shapes], 0)
+    return eg, [(0, j, False) for j in range(3) if x[j]] + [
+        read for i in pairs for read in ((1, i, True), (2, i, False))
+    ]
+
+
+def _tri(sample: _Sampler, factors, keys) -> float:
+    """integral of X . grad Y . Z dx for ``factors`` (X, Y, Z): a quadrature
+    of the samples ``_tri_reads`` names, held by ``sample`` under ``keys``,
+    one per factor (None: sampled afresh)."""
+    form = _tri_reads(factors[0].grid, [_shape(f) for f in factors])
+    if form is None:
         return 0.0
-    eg = _eval_grid_for(factors[0].grid, [f.band_axis() for f in factors], 0)
-    kx, ky, kz = ([None if k is None else (k, i) for i in range(3)] for k in keys)
-    xs = [sample(kx[j], x[j], eg) for j in range(3)]
-    gys, zs = [None] * 3, [None] * 3
-    for i in pairs:
-        gys[i] = sample(ky[i], y[i], eg, grad=True)
-        zs[i] = sample(kz[i], z[i], eg)
-    return _contract(xs, gys, zs) * eg.cell_volume
+    got = [[None] * 3 for _ in range(3)]  # X, grad Y, Z
+    for f, i, grad in form[1]:
+        key = None if keys[f] is None else (keys[f], i)
+        got[f][i] = sample(key, factors[f].components[i], form[0], grad)
+    return _contract(*got) * form[0].cell_volume
 
 
 def _contract(xs: list, gys: list, zs: list) -> float:

@@ -487,9 +487,9 @@ def _classical_sweep(cfg: SuiteConfig, grid: TorusGrid) -> SuiteResult:
         u = _window_field(grid, cfg.seed + i)
         S = ledger.ledger_scale(u)
         for k in range(sweep[0], sweep[1] + 1):
-            # the ledger and the support audit sample their filtrates once, on one workspace
+            # the ledger and the support audit run as one plan, which samples each filtrate once
             ws = ledger._Workspace(u, k)
-            led = ledger._ledger_classical(ws, cfg.theta)
+            led, audit = ws.run(ledger._classical(ws, cfg.theta), ledger._audit(ws))
             rows.extend(_ledger_rows(cfg, led, cfg.seed + i))
             T = led.terms
             agg["I11"] = max(agg["I11"], abs(T["I11"]) / S)
@@ -503,7 +503,7 @@ def _classical_sweep(cfg: SuiteConfig, grid: TorusGrid) -> SuiteResult:
             splits = [led.split(th) for th in (Fraction(1, 4), Fraction(3, 4))]
             spread = max(abs(lo + hi - base) for lo, hi in splits)
             agg["theta"] = max(agg["theta"], spread / S)
-            agg["audit"] = max(agg["audit"], float(ledger._support_audit(ws).violations))
+            agg["audit"] = max(agg["audit"], float(audit.violations))
     checks.append(_check("vanishing-I11", "paraproduct-disjointness", agg["I11"], 1.0, cfg.tol("vanishing")))
     checks.append(_check("vanishing-I21", "paraproduct-disjointness", agg["I21"], 1.0, cfg.tol("vanishing")))
     checks.append(_check("vanishing-I22", "paraproduct-disjointness", agg["I22"], 1.0, cfg.tol("vanishing")))

@@ -1,4 +1,5 @@
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -173,10 +174,14 @@ def test_s_half_uses_level_zero_split(field64):
     assert led.theta == 0.0
     # [theta k] = 0 for every k, so the removed part keeps S_0 only
     ws = ledger._Workspace(field64, 3)
+    triples = [
+        (ledger._low(l - 2) + ledger._low(0), ledger._block(lp), ledger._block(l) + ws.tail)
+        for l in range(2, 6)
+        for lp in range(l - 2, 3)
+    ]
     expect = 0.0
-    for l in range(2, 6):
-        for lp in range(l - 2, 3):
-            expect += ws.tri(ledger._low(l - 2) + ledger._low(0), ledger._block(lp), ledger._block(l) + ws.tail)
+    for value in ledger._Plan(ws, {"J1_low": triples}).run()["J1_low"]:
+        expect += value
     assert abs(led.terms["J1_low"] - expect) <= 1e-13 * max(abs(expect), 1e-300)
 
 
@@ -226,7 +231,7 @@ def test_band_filters_match_literal_composition(grid32, k):
     ws = ledger._Workspace(u, k)
     top = max(c.max_abs_coeff() for c in u.components)
     for name, filt, expect in _literal_filters(u, k):
-        got = ws.field(ws.key(filt))
+        got = ledger._filtrate(u, ws.key(filt))
         for c_got, c_exp in zip(got.components, expect.components):
             assert np.array_equal(c_got.coeffs == 0, c_exp.coeffs == 0), name
             assert np.max(np.abs(c_got.coeffs - c_exp.coeffs)) <= 1e-15 * top, name
@@ -244,39 +249,71 @@ def test_filters_sharing_a_key_filter_u_bit_for_bit(box):
             classes.setdefault(ws.key(filt), []).append((name, dyadic.band(u, filt)))
         assert len(classes) < sum(len(v) for v in classes.values())  # some spellings share a key
         for key, spelled in classes.items():
-            want = ws.field(key)
+            want = ledger._filtrate(u, key)
             for name, got in spelled:
                 for c, w in zip(got.components, want.components):
                     assert np.array_equal(c.coeffs, w.coeffs), (k, name, key)
                     assert np.array_equal(c.support, w.support), (k, name, key)
 
 
+def _spy_plans(monkeypatch) -> list:
+    """Every ``_Plan`` run from here on, appended when it starts to run."""
+    plans, run = [], ledger._Plan.run
+    monkeypatch.setattr(ledger._Plan, "run", lambda self: plans.append(self) or run(self))
+    return plans
+
+
 def test_ledger_and_audit_sample_each_filtrate_once(grid32, monkeypatch):
     u = suites._window_field(grid32, 0)
-    want = ledger.ledger_classical(u, 1), ledger.support_audit(u, 1)
+    want = [ledger.ledger_classical(u, 1), ledger.support_audit(u, 1)]
     ws = ledger._Workspace(u, 1)
     spellings: dict = {}
+    keyed = []
     key = ws.key
-    monkeypatch.setattr(ws, "key", lambda filt: spellings.setdefault(tuple(sorted(filt)), key(filt)))
+    monkeypatch.setattr(
+        ws, "key", lambda filt: keyed.append(filt) or spellings.setdefault(tuple(sorted(filt)), key(filt))
+    )
     calls, named = [], []
     sample, rule = products.samples_on, products._eval_grid_for
     monkeypatch.setattr(products, "samples_on", lambda c, dst: calls.append(dst.n) or sample(c, dst))
     monkeypatch.setattr(products, "_eval_grid_for", lambda *a: named.append(rule(*a).n) or rule(*a))
-    assert (ledger._ledger_classical(ws, Fraction(1, 2)), ledger._support_audit(ws)) == want
-    held = {slot: value for slot, (value, _) in ws.samples.held.items() if type(slot[-1]) is bool}
-    filtrates = {filt for ((filt, _), _, grad) in held if not grad}
-    gradients = {filt for ((filt, _), _, grad) in held if grad}
+    plans = _spy_plans(monkeypatch)
+    assert ws.run(ledger._classical(ws, Fraction(1, 2)), ledger._audit(ws)) == want
+    (plan,) = plans
+    assert not plan.sampler.held  # each sample is dropped after its last use
+    slots = {slot for *_, reads in plan.steps for slot in reads}
+    filtrates = {filt for ((filt, _), _, grad) in slots if not grad}
+    gradients = {filt for ((filt, _), _, grad) in slots if grad}
     # 10 filtrates and 3 gradients, standing for 19 and 7 spellings of their
-    # filters; a filter is keyed once, never its key again
+    # filters; the plan keys a filter once, never its key again, and the
+    # audit keys S_k once more for the gradient it pairs against
     assert (len(filtrates), len(gradients)) == (10, 3)
     assert sum(k in filtrates for k in spellings.values()) == 19
     assert sum(k in gradients for k in spellings.values()) == 7
-    # each held array was sampled once, on a grid the rule named, and nothing
-    # else was: the narrow terms drop to 16^3, none leaves the native 32^3
-    arrays = [n for (_, n, _), v in held.items() for _ in ([] if v is None else v if isinstance(v, list) else [v])]
+    assert len(keyed) == len(set(keyed)) + 1 and keyed.count(ws.low) == 2
+    # each slot's arrays were sampled once, on a grid the rule named, and
+    # nothing else was: the narrow terms drop to 16^3, none leaves the native 32^3
+    arrays = [n for (_, n, grad) in slots for _ in range(3 if grad else 1)]
     assert sorted(calls) == sorted(arrays)
     assert set(calls) == set(named) == {16, 32}
     assert (calls.count(16), calls.count(32)) == (18, 54)
+
+
+@pytest.mark.parametrize("case", ["ledger+audit", "fractional-high"])
+def test_plan_states_its_samples_per_grid(grid32, monkeypatch, case):
+    u = suites._window_field(grid32, 3)
+    calls = []
+    sample = products.samples_on
+    monkeypatch.setattr(products, "samples_on", lambda c, dst: calls.append(dst.n) or sample(c, dst))
+    plans = _spy_plans(monkeypatch)
+    if case == "ledger+audit":
+        ws = ledger._Workspace(u, 1)
+        ws.run(ledger._classical(ws, Fraction(1, 2)), ledger._audit(ws))
+    else:
+        ledger.ledger_fractional_high(u, 2, "3/5")
+    (plan,) = plans
+    assert plan.samples == {n: calls.count(n) for n in set(calls)}
+    assert len(set(calls)) > 1  # the narrow terms drop to a coarser grid
 
 
 # -- support audit ------------------------------------------------------------------
@@ -309,7 +346,33 @@ def _audit_products_literal(u, k):
     return out
 
 
-@pytest.mark.parametrize("order", ["ledger-first", "audit-first", "evicting"])
+def _spy_live_samples(monkeypatch) -> tuple[list, list]:
+    """(the bytes of samples alive after each sampling, the slots the samplers
+    sampled in order); an array counts from ``samples_on`` until it is freed."""
+    live, levels, sampled = [0], [], []
+    sample, call = products.samples_on, products._Sampler.__call__
+
+    def release(nbytes: int) -> None:
+        live[0] -= nbytes
+
+    def spy(c, dst):
+        out = sample(c, dst)
+        live[0] += out.nbytes
+        weakref.finalize(out, release, out.nbytes)
+        levels.append(live[0])
+        return out
+
+    def spy_call(self, key, c, eg, grad=False):
+        if key is not None and (key, eg.n, grad) not in self.held:
+            sampled.append((key, eg.n, grad))
+        return call(self, key, c, eg, grad)
+
+    monkeypatch.setattr(products, "samples_on", spy)
+    monkeypatch.setattr(products._Sampler, "__call__", spy_call)
+    return levels, sampled
+
+
+@pytest.mark.parametrize("order", ["ledger-first", "audit-first", "last-use"])
 def test_support_audit_on_shared_workspace(grid32, monkeypatch, order):
     u = suites._window_field(grid32, 2)
     k = 1
@@ -320,21 +383,23 @@ def test_support_audit_on_shared_workspace(grid32, monkeypatch, order):
         assert (r.term, r.level, r.annulus_lo, r.annulus_hi) == (term, l, lo, hi)
         assert r.scale == pytest.approx(scale, rel=1e-12)
         assert abs(r.max_outside - max_out) <= 1e-14 * scale
-    if order == "evicting":  # room for four samples, less than one gradient entry
-        monkeypatch.setattr(ledger, "_WORKSPACE_BYTES", 4 * grid32.n**3 * 8)
+    if order == "last-use":
+        levels, sampled = _spy_live_samples(monkeypatch)
+        plans = _spy_plans(monkeypatch)
     ws = ledger._Workspace(u, k)
     if order == "audit-first":
-        rep = ledger._support_audit(ws)
-        led = ledger._ledger_classical(ws, Fraction(1, 2))
+        rep, led = ws.run(ledger._audit(ws), ledger._classical(ws, Fraction(1, 2)))
     else:
-        led = ledger._ledger_classical(ws, Fraction(1, 2))
-        rep = ledger._support_audit(ws)
+        led, rep = ws.run(ledger._classical(ws, Fraction(1, 2)), ledger._audit(ws))
     assert rep == alone
     assert rep.rows and rep.violations == 0
     assert led == fresh
-    if order == "evicting":
-        held = ws.samples.held.values()
-        assert sum(nbytes for _, nbytes in held) == ws.samples.nbytes <= ledger._WORKSPACE_BYTES
+    if order == "last-use":
+        (plan,) = plans
+        assert not plan.sampler.held
+        # live samples never exceed the plan's stated peak, and reach it
+        assert max(levels) == plan.peak_bytes
+        assert len(sampled) == len(set(sampled))  # no slot is sampled twice
 
 
 # -- decay fits -----------------------------------------------------------------------
@@ -388,6 +453,12 @@ def test_remainder_decay_matches_ledger_terms(field64):
     # at theta = 1/2 the two series are the same integral family
     for (k1, v1), (k2, v2) in zip(ser.points, ser2.points):
         assert k1 == k2 and v1 == v2
+    # an exponent given as a string reads as the same fraction
+    assert ledger.remainder_decay(field64, "I232", range(1, 5), "1/2") == ser
+    assert ledger.remainder_decay(field64, "fractional-remainder", range(1, 5), Fraction(5, 6)) == ser2
+    assert ledger.remainder_decay(field64, "I232", range(1, 5), "5/6") == ledger.remainder_decay(
+        field64, "I232", range(1, 5), Fraction(5, 6)
+    )
 
 
 def test_removed_terms_vanish_at_window_top(grid64):
