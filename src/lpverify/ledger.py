@@ -210,24 +210,26 @@ class _Workspace:
 
 
 class _Plan:
-    """A table's steps and the sample slots each reads, worked out before any FFT.
+    """A table's steps and the form of each, worked out before any FFT.
 
-    Each filter is keyed once, and each filtrate is built once here for its
-    ``products._shape``.  A slot is (key and component, grid n, gradient or
-    not): a triple reads the slots ``products._tri_reads`` names, a product
-    two on the grid ``products._eval_grid_for`` names.  ``samples`` counts
-    the arrays sampled per grid n, ``peak_bytes`` the most bytes of samples
-    held at once.  ``run`` evaluates the steps in order, holding filtrates
-    and samples in ``sampler``: it builds a filtrate again and samples a
-    slot at the first step that reads it, and drops both after the last.
+    Each filter is keyed once, and each filtrate built and its
+    ``products._shape`` read once, here; ``sampler`` holds it until the
+    last step that reads it.  A form is a grid and reads (factor,
+    component, gradient or not): a triple's are ``products._tri_reads``'s
+    (without them it is zero), a product's its two components on the grid
+    of ``products._eval_grid_for`` (a zero product is left out).  A slot is
+    (key and component, grid n, gradient or not).  ``samples`` counts the
+    arrays sampled per grid n, ``peak_bytes`` the most sample bytes held at
+    once.  ``run`` evaluates each step from its form and drops each slot
+    and filtrate after its last step.
     """
 
     def __init__(self, ws: _Workspace, table: dict):
-        self.u, self.names, self.sampler = ws.u, list(table), products._Sampler()
+        self.grid, self.names, self.sampler = ws.grid, list(table), products._Sampler()
         keys: dict = {}
-        shapes: dict = {}
+        built: dict = {}  # key -> (filtrate, its shape)
         self.last: dict = {}  # slot or filtrate key -> the last step that reads it
-        self.steps = []  # (name, step, its filtrates' keys, the slots it reads)
+        self.steps = []  # (name, step, its filtrates' keys, its form, the slots it reads)
         for name, term in table.items():
             for step in term:
                 product = isinstance(step, _Product)
@@ -235,26 +237,29 @@ class _Plan:
                 for filt in filters:
                     if filt not in keys:
                         keys[filt] = ws.key(filt)
-                        if keys[filt] not in shapes:
-                            shapes[keys[filt]] = products._shape(_filtrate(ws.u, keys[filt]))
+                        if keys[filt] not in built:
+                            f = _filtrate(ws.u, keys[filt])
+                            built[keys[filt]] = f, products._shape(f)
                 ks = tuple(keys[f] for f in filters)
+                shapes = [built[k][1] for k in ks]
                 if product:
-                    (nz_a, band_a), (nz_b, band_b) = shapes[ks[0]][step.i], shapes[ks[1]][step.j]
+                    (nz_a, band_a), (nz_b, band_b) = shapes[0][step.i], shapes[1][step.j]
                     if not (nz_a and nz_b):
                         continue  # a zero product is left out
                     eg = products._eval_grid_for(ws.grid, (band_a, band_b))
                     form = eg, [(0, step.i, False), (1, step.j, False)]
                 else:
-                    form = products._tri_reads(ws.grid, [shapes[k] for k in ks])
+                    form = products._tri_reads(ws.grid, shapes)
                 reads = form[1] if form else []
                 slots = list(dict.fromkeys(((ks[f], i), form[0].n, grad) for f, i, grad in reads))
                 for x in slots + (list(ks) if slots else []):
                     self.last[x] = len(self.steps)
-                self.steps.append((name, step, ks, slots))
+                self.steps.append((name, step, ks, form, slots))
+        self.sampler.held.update((k, f) for k, (f, _) in built.items() if k in self.last)
         self.samples: dict[int, int] = {}
         live: dict = {}  # the bytes of each slot held
         self.peak_bytes = 0
-        for t, (_, _, _, slots) in enumerate(self.steps):
+        for t, (*_, slots) in enumerate(self.steps):
             for slot in slots:
                 if slot not in live:  # its first step
                     n, arrays = slot[1], 3 if slot[2] else 1
@@ -268,23 +273,18 @@ class _Plan:
     def run(self) -> dict[str, list]:
         """{name: the value of each of its steps}."""
         out: dict[str, list] = {name: [] for name in self.names}
-        held = self.sampler.held
-        for t, (name, step, ks, slots) in enumerate(self.steps):
-            if slots:
-                for k in ks:
-                    if k not in held:
-                        held[k] = _filtrate(self.u, k)
-                f = [held[k] for k in ks]
+        for t, (name, step, ks, form, slots) in enumerate(self.steps):
+            if form:
+                f = [self.sampler.held[k] for k in ks]
                 if isinstance(step, _Product):
-                    comps = f[0].components[step.i], f[1].components[step.j]
-                    keys = (ks[0], step.i), (ks[1], step.j)
-                    value = step.finish(products._product(*comps, self.sampler, keys))
+                    a, b = (self.sampler((ks[x], i), f[x].components[i], form[0]) for x, i, _ in form[1])
+                    value = step.finish(products.restrict_to(a * b, form[0], self.grid))
                 else:
-                    value = products._tri(self.sampler, f, ks)
+                    value = products._tri(self.sampler, f, ks, form)
                 for x in {*slots, *ks}:
                     if self.last[x] == t:
-                        del held[x]
-            out[name].append(value if slots else 0.0)  # a triple that reads nothing is zero
+                        del self.sampler.held[x]
+            out[name].append(value if form else 0.0)  # a triple without a form is zero
         return out
 
 
@@ -553,8 +553,8 @@ def remainder_decay(u: VectorField, term: str, k_range, theta_or_s=Fraction(1, 2
         pts = []
         for k in k_list:
             ws = _Workspace(u, k)
-            c_l = dict(zip(ws.levels, _Plan(ws, {"I23": _resonant(ws, ws.low)}).run()["I23"]))
-            pts.append((k, _split(c_l, split_index(theta, k))[1]))
+            part = {"I23": _resonant(ws, ws.low)}, lambda values: dict(zip(ws.levels, values["I23"]))
+            pts.append((k, _split(ws.run(part)[0], split_index(theta, k))[1]))
         fit = fit_decay(pts)
         return DecaySeries(
             term=term,

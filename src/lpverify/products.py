@@ -184,19 +184,21 @@ def trilinear(u: VectorField, a: VectorField, b: VectorField) -> float:
 def _trilinear_sweep(u: VectorField, a: VectorField, bs) -> list[float]:
     """``trilinear(u, a, b)`` for each b of the iterable ``bs``, in order.
 
-    u and the gradient of each paired component of a are kept in one
-    sampler, so each is sampled once per evaluation grid the sweep meets;
-    each b is sampled afresh and not kept.  Each b is drawn from ``bs`` only
-    when its turn comes, so a generator of b's is never held whole.  Every
-    value is bit-identical to a call of its own, and a b on another grid
-    raises ``GridError`` when its turn comes, after the values before it.
+    u and a are shaped once, and u and the gradient of each paired
+    component of a are kept in one sampler, so each is sampled once per
+    evaluation grid the sweep meets; each b is shaped, sampled afresh and
+    drawn from ``bs`` only at its turn, so a generator of b's is never held
+    whole.  Every value is bit-identical to a call of its own, and a b on
+    another grid raises ``GridError`` at its turn, after the values before it.
     """
     sample = _Sampler()
+    shapes = _shape(u), _shape(a)
     out = []
     for b in bs:
         if a.grid != u.grid or b.grid != u.grid:
             raise GridError("trilinear operands live on different grids")
-        out.append(_tri(sample, (u, a, b), ("u", "a", None)))
+        form = _tri_reads(u.grid, (*shapes, _shape(b)))
+        out.append(_tri(sample, (u, a, b), ("u", "a", None), form) if form else 0.0)
         del b  # hold no b while the next one is drawn
     return out
 
@@ -222,13 +224,10 @@ def _tri_reads(grid: TorusGrid, shapes) -> tuple[TorusGrid, list] | None:
     ]
 
 
-def _tri(sample: _Sampler, factors, keys) -> float:
-    """integral of X . grad Y . Z dx for ``factors`` (X, Y, Z): a quadrature
-    of the samples ``_tri_reads`` names, held by ``sample`` under ``keys``,
-    one per factor (None: sampled afresh)."""
-    form = _tri_reads(factors[0].grid, [_shape(f) for f in factors])
-    if form is None:
-        return 0.0
+def _tri(sample: _Sampler, factors, keys, form) -> float:
+    """integral of X . grad Y . Z dx for ``factors`` (X, Y, Z), with ``form``
+    their ``_tri_reads``: a quadrature on its grid of the samples it reads,
+    held by ``sample`` under ``keys``, one per factor (None: sampled afresh)."""
     got = [[None] * 3 for _ in range(3)]  # X, grad Y, Z
     for f, i, grad in form[1]:
         key = None if keys[f] is None else (keys[f], i)

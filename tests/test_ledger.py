@@ -300,6 +300,28 @@ def test_ledger_and_audit_sample_each_filtrate_once(grid32, monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["ledger+audit", "fractional-high"])
+def test_plan_builds_each_filtrate_once(grid32, monkeypatch, case):
+    u = suites._window_field(grid32, 0)
+    builds, shaped = [], []
+    band, shape = dyadic.band, products._shape
+    monkeypatch.setattr(dyadic, "band", lambda f, key: builds.append(key) or band(f, key))
+    monkeypatch.setattr(products, "_shape", lambda f: shaped.append(f) or shape(f))
+    plans = _spy_plans(monkeypatch)
+    if case == "ledger+audit":
+        ws = ledger._Workspace(u, 1)
+        ws.run(ledger._classical(ws, Fraction(1, 2)), ledger._audit(ws))
+        builds.remove(ws.key(ws.low))  # the audit's own S_k, whose gradient it pairs against
+    else:
+        ledger.ledger_fractional_high(u, 2, "3/5")
+    (plan,) = plans
+    keys = {key for _, _, ks, *_ in plan.steps for key in ks}
+    # every filtrate is built, and its shape read, in planning and never again;
+    # the key () is u itself, which is shaped but not built
+    assert len(builds) == len(set(builds)) and set(builds) == keys - {()}
+    assert len(shaped) == len(keys) == len({id(f) for f in shaped})
+
+
+@pytest.mark.parametrize("case", ["ledger+audit", "fractional-high"])
 def test_plan_states_its_samples_per_grid(grid32, monkeypatch, case):
     u = suites._window_field(grid32, 3)
     calls = []
@@ -400,6 +422,35 @@ def test_support_audit_on_shared_workspace(grid32, monkeypatch, order):
         # live samples never exceed the plan's stated peak, and reach it
         assert max(levels) == plan.peak_bytes
         assert len(sampled) == len(set(sampled))  # no slot is sampled twice
+
+
+@pytest.mark.parametrize("name", ["zero", "single-mode", "window"])
+def test_plans_hold_nothing_after_they_run(grid32, monkeypatch, name):
+    # the zero field leaves out every product and the single-mode shear all
+    # but one component's, so most filtrates are read by no step at all
+    u = {
+        "zero": VectorField.zeros(grid32),
+        "single-mode": forge.generate(grid32, forge.SpectrumSpec("single-mode")),
+        "window": suites._window_field(grid32, 0),
+    }[name]
+    k = 1
+    literal = _audit_products_literal(u, k)
+    plans = _spy_plans(monkeypatch)
+    alone = ledger.support_audit(u, k)
+    assert not plans[-1].sampler.held
+    ws = ledger._Workspace(u, k)
+    led, rep = ws.run(ledger._classical(ws, Fraction(1, 2)), ledger._audit(ws))
+    assert not plans[-1].sampler.held
+    assert led == ledger.ledger_classical(u, k)
+    assert len(plans) == 3 and not plans[-1].sampler.held
+    assert rep == alone and rep.violations == 0
+    assert len(rep.rows) == len(literal)
+    for r, (term, l, lo, hi, max_out, scale) in zip(rep.rows, literal):
+        assert (r.term, r.level, r.annulus_lo, r.annulus_hi) == (term, l, lo, hi)
+        assert r.scale == pytest.approx(scale, rel=1e-12)
+        assert abs(r.max_outside - max_out) <= 1e-14 * scale
+    if name == "zero":
+        assert not rep.rows and all(v == 0.0 for v in led.terms.values())
 
 
 # -- decay fits -----------------------------------------------------------------------

@@ -213,7 +213,8 @@ def test_trilinear_grid_rule(monkeypatch, grid32, bands, eval_n):
     x, y, z = (_axis_band_field(grid32, 20 + i, b) for i, b in enumerate(bands))
     assert (x.band_axis(), y.band_axis(), z.band_axis()) == bands
     calls = _count_samples(monkeypatch)
-    got = products._tri(products._Sampler(), (x, y, z), (None, None, None))
+    form = products._tri_reads(grid32, [products._shape(f) for f in (x, y, z)])
+    got = products._tri(products._Sampler(), (x, y, z), (None, None, None), form)
     monkeypatch.undo()
     assert set(calls) == {eval_n}
     want = _quadrature_on(TorusGrid(2 * eval_n, grid32.box_length), x, y, z)
