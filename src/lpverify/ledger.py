@@ -436,8 +436,6 @@ def ledger_fractional_high(u: VectorField, k: int, s) -> TrilinearLedger:
     theta = 0 turns the first split into the fixed level-0 cut.
     """
     sf = as_fraction(s)
-    if not (Fraction(1, 2) <= sf < Fraction(5, 6)):
-        raise FieldError(f"fractional-high path needs 1/2 <= s < 5/6, got {sf}")
     theta = theta_for(sf)
     if not u.div_free:
         raise FieldError("ledger_fractional_high expects a divergence-free field")
@@ -516,31 +514,25 @@ def fit_decay(points) -> DecayFit:
 
 @dataclass(frozen=True)
 class DecaySeries:
+    """A measured level series; ``suites`` judges it against the run's tolerances."""
+
     term: str
     parameter: float
     points: tuple[tuple[int, float], ...]
     fit: DecayFit | None
     fit_range: tuple[int, int] | None
     predicted_exponent: float | None
-    slack: float
-    slope_ok: bool | None
     top_value: float | None = None
-    top_threshold: float | None = None
-    top_ok: bool | None = None
-
-
-_DECAY_SLACK = 0.25
 
 
 def remainder_decay(u: VectorField, term: str, k_range, theta_or_s=Fraction(1, 2)) -> DecaySeries:
     """Measure the level dependence of a remainder/removed term.
 
-    term 'I232': resonant remainder beyond [theta k]; the fitted slope is
-    compared with the 3/2 - 2 theta floor (minus slack).  term
-    'fractional-remainder': the same integral split at [k/2], compared
-    with 5/2 - 2s.  terms 'J1_low'/'J2_low'/'J3_low': removed low parts of
-    the high-frequency path; asserted to fall below 1e-6 * ledger_scale(u)
-    at the top of the range.
+    term 'I232': resonant remainder beyond [theta k], whose fitted slope the
+    3/2 - 2 theta floor predicts.  term 'fractional-remainder': the same
+    integral split at [k/2], predicted by 5/2 - 2s.  terms
+    'J1_low'/'J2_low'/'J3_low': removed low parts of the high-frequency
+    path, measured up to the top of the range.
     """
     k_list = sorted(k_range)
     if not k_list:
@@ -555,30 +547,24 @@ def remainder_decay(u: VectorField, term: str, k_range, theta_or_s=Fraction(1, 2
             ws = _Workspace(u, k)
             part = {"I23": _resonant(ws, ws.low)}, lambda values: dict(zip(ws.levels, values["I23"]))
             pts.append((k, _split(ws.run(part)[0], split_index(theta, k))[1]))
-        fit = fit_decay(pts)
         return DecaySeries(
             term=term,
             parameter=float(param),
             points=tuple(pts),
-            fit=fit,
+            fit=fit_decay(pts),
             fit_range=(k_list[0], k_list[-1]),
             predicted_exponent=predicted,
-            slack=_DECAY_SLACK,
-            slope_ok=fit.slope >= predicted - _DECAY_SLACK,
         )
 
     if term in ("J1_low", "J2_low", "J3_low"):
-        leds = [ledger_fractional_high(u, k, theta_or_s) for k in k_list]
-        return _removed_series(leds, term, ledger_scale(u))
+        return _removed_series([ledger_fractional_high(u, k, theta_or_s) for k in k_list], term)
 
     raise FieldError(f"unknown decay term {term!r}")
 
 
-def _removed_series(leds, term: str, scale: float) -> DecaySeries:
-    """Series of a removed J-part from fractional-high ledgers in ascending k; top <= 1e-6 * scale."""
+def _removed_series(leds, term: str) -> DecaySeries:
+    """Series of a removed J-part from fractional-high ledgers in ascending k."""
     pts = tuple((led.k, led.terms[term]) for led in leds)
-    top_value = abs(pts[-1][1])
-    threshold = 1e-6 * scale
     fit = None
     try:
         fit = fit_decay(pts)
@@ -591,11 +577,7 @@ def _removed_series(leds, term: str, scale: float) -> DecaySeries:
         fit=fit,
         fit_range=(pts[0][0], pts[-1][0]),
         predicted_exponent=None,
-        slack=_DECAY_SLACK,
-        slope_ok=None,
-        top_value=top_value,
-        top_threshold=threshold,
-        top_ok=top_value <= threshold,
+        top_value=abs(pts[-1][1]),
     )
 
 

@@ -60,14 +60,11 @@ FOURIER_NORM = TWO_PI ** 1.5
 _fft_workers = 1
 
 
-def set_fft_workers(workers: int) -> None:
-    """Cap the number of threads scipy's FFT may use."""
+def set_fft_workers(workers: int) -> int:
+    """Cap the number of threads scipy's FFT may use; returns the previous cap."""
     global _fft_workers
-    _fft_workers = max(1, int(workers))
-
-
-def fft_workers() -> int:
-    return _fft_workers
+    previous, _fft_workers = _fft_workers, max(1, int(workers))
+    return previous
 
 
 class TorusGrid:

@@ -227,8 +227,7 @@ def _window_field(grid, seed, alpha=None):
 # suite bodies
 
 
-def _suite_core(cfg: SuiteConfig) -> SuiteResult:
-    g = TorusGrid(cfg.n, cfg.box)
+def _suite_core(cfg: SuiteConfig, g: TorusGrid, win: DyadicWindow) -> SuiteResult:
     rng = np.random.default_rng(cfg.seed)
     checks = []
     from .spectral import divergence, fractional_laplacian, gradient, leray_project, transform_forward
@@ -322,14 +321,11 @@ def _suite_core(cfg: SuiteConfig) -> SuiteResult:
         back = snapshot.snapshot_read(path)
         same = all(np.array_equal(a3.coeffs, b3.coeffs) for a3, b3 in zip(ub.components, back.components))
         size_ok = path.stat().st_size == 64 + 3 * g.n**3 * 16
-    checks.append(CheckRecord("snapshot-round-trip", "snapshot-io", 0.0 if same and size_ok else 1.0,
-                              1.0, 0.5, bool(same and size_ok)))
+    checks.append(_check_bound("snapshot-round-trip", "snapshot-io", 0.0 if same and size_ok else 1.0, 0.5))
     return SuiteResult(checks)
 
 
-def _suite_dyadic(cfg: SuiteConfig) -> SuiteResult:
-    g = TorusGrid(cfg.n, cfg.box)
-    win = DyadicWindow.for_grid(g)
+def _suite_dyadic(cfg: SuiteConfig, g: TorusGrid, win: DyadicWindow) -> SuiteResult:
     checks = []
     u = _window_field(g, cfg.seed)
     c = u.components[0]
@@ -342,8 +338,8 @@ def _suite_dyadic(cfg: SuiteConfig) -> SuiteResult:
         for j in win.indices():
             if abs(j - k) >= 2 and dyadic.block(bk, j).max_abs_coeff() != 0.0:
                 ortho_ok = False
-    checks.append(CheckRecord("block-support-exact", "block-support", 0.0 if support_ok else 1.0, 1.0, 0.5, support_ok))
-    checks.append(CheckRecord("block-orthogonality", "block-orthogonality", 0.0 if ortho_ok else 1.0, 1.0, 0.5, ortho_ok))
+    checks.append(_check_bound("block-support-exact", "block-support", 0.0 if support_ok else 1.0, 0.5))
+    checks.append(_check_bound("block-orthogonality", "block-orthogonality", 0.0 if ortho_ok else 1.0, 0.5))
 
     acc = np.zeros_like(c.coeffs)
     for k in win.indices():
@@ -403,9 +399,7 @@ def _suite_dyadic(cfg: SuiteConfig) -> SuiteResult:
 _BONY_PAIRS = 20
 
 
-def _suite_paraproduct(cfg: SuiteConfig) -> SuiteResult:
-    g = TorusGrid(cfg.n, cfg.box)
-    win = DyadicWindow.for_grid(g)
+def _suite_paraproduct(cfg: SuiteConfig, g: TorusGrid, win: DyadicWindow) -> SuiteResult:
     band = win.guarded(2)
     checks = []
     worst_rel, worst_leak = 0.0, 0.0
@@ -477,8 +471,7 @@ def _ledger_rows(cfg: SuiteConfig, led, seed: int) -> list[dict]:
     return rows
 
 
-def _classical_sweep(cfg: SuiteConfig, grid: TorusGrid) -> SuiteResult:
-    win = DyadicWindow.for_grid(grid)
+def _classical_sweep(cfg: SuiteConfig, grid: TorusGrid, win: DyadicWindow) -> SuiteResult:
     sweep = _sweep(cfg, win)
     checks = []
     rows: list[dict] = []
@@ -512,8 +505,8 @@ def _classical_sweep(cfg: SuiteConfig, grid: TorusGrid) -> SuiteResult:
     checks.append(_check("bony-split-sum-1", "localized-identity", agg["split1"], 1.0, cfg.tol("split-sum")))
     checks.append(_check("bony-split-sum-2", "localized-identity", agg["split2"], 1.0, cfg.tol("split-sum")))
     checks.append(_check("theta-partition-invariance", "resonant-split", agg["theta"], 1.0, cfg.tol("theta-sum")))
-    checks.append(CheckRecord("support-audit", "support-containment", agg["audit"], 1.0, 0.5, agg["audit"] == 0.0,
-                              detail=f"fields={_CLASSICAL_FIELDS}, sweep={sweep}"))
+    checks.append(_check_bound("support-audit", "support-containment", agg["audit"], 0.5,
+                               detail=f"fields={_CLASSICAL_FIELDS}, sweep={sweep}"))
     return SuiteResult(checks, ledger_rows=rows)
 
 
@@ -527,17 +520,12 @@ def _decay_sweep(n: int, seed: int):
     return u, range(win.k_min + 1, 0)
 
 
-def _suite_classical(cfg: SuiteConfig) -> SuiteResult:
-    grid = TorusGrid(cfg.n, cfg.box)
-    got = _classical_sweep(cfg, grid)
+def _suite_classical(cfg: SuiteConfig, grid: TorusGrid, win: DyadicWindow) -> SuiteResult:
+    got = _classical_sweep(cfg, grid, win)
     if cfg.n >= 128:
         u, ks = _decay_sweep(cfg.n, cfg.seed)
         ser = ledger.remainder_decay(u, "I232", ks, cfg.theta)
-        got.series.append(_series_dict(ser))
-        floor = ser.predicted_exponent - cfg.tol("decay-slack")
-        got.checks.append(CheckRecord("resonant-remainder-slope", "resonant-remainder-decay",
-                                      ser.fit.slope, 1.0, floor, bool(ser.fit.slope >= floor),
-                                      detail=f"floor {floor:+.3f}"))
+        _judge_series(cfg, got, ser, "resonant-remainder-slope", "resonant-remainder-decay")
     else:
         got.checks.append(CheckRecord("resonant-remainder-slope", "resonant-remainder-decay",
                                       math.nan, 1.0, math.nan, None,
@@ -545,11 +533,10 @@ def _suite_classical(cfg: SuiteConfig) -> SuiteResult:
     return got
 
 
-def _suite_fractional_low(cfg: SuiteConfig) -> SuiteResult:
-    grid = TorusGrid(cfg.n, cfg.box)
-    win = DyadicWindow.for_grid(grid)
+def _suite_fractional_low(cfg: SuiteConfig, grid: TorusGrid, win: DyadicWindow) -> SuiteResult:
     sweep = _sweep(cfg, win)
-    checks, series = [], []
+    got = SuiteResult([])
+    checks = got.checks
     u = _window_field(grid, cfg.seed)
     # the coherence check compares these with separately evaluated fractional ledgers
     bases = {k: ledger.ledger_classical(u, k, Fraction(1, 2)) for k in range(sweep[0], sweep[1] + 1)}
@@ -563,35 +550,27 @@ def _suite_fractional_low(cfg: SuiteConfig) -> SuiteResult:
             worst = max(worst, max(abs(led.terms[t] - base.terms[t]) for t in base.terms) / base.scale)
             certs_ok &= all(math.isfinite(v) for v in led.certificates.values())
         checks.append(_check(f"fractional-coherence-s={s}", "s-independent-decomposition", worst, 1.0, cfg.tol("coherence")))
-        checks.append(CheckRecord(f"certificates-finite-s={s}", "pairing-well-defined", 0.0 if certs_ok else 1.0,
-                                  1.0, 0.5, certs_ok))
-        led_mid = leds.get(mid) or ledger.ledger_fractional_low(u, mid, s)
-        rows = ledger.snc_chains(u, led_mid, s=s)
+        checks.append(_check_bound(f"certificates-finite-s={s}", "pairing-well-defined", 0.0 if certs_ok else 1.0, 0.5))
+        rows = ledger.snc_chains(u, leds[mid], s=s)
         for name, (lhs, rhs, ratio) in rows.items():
             checks.append(_info(f"{name}-ratio-s={s}", "localized-sum-majorant", ratio))
     if cfg.n >= 128:
         ud, ks = _decay_sweep(cfg.n, cfg.seed)
         for s in cfg.s_values:
             ser = ledger.remainder_decay(ud, "fractional-remainder", ks, s)
-            series.append(_series_dict(ser))
-            floor = ser.predicted_exponent - cfg.tol("decay-slack")
-            checks.append(CheckRecord(f"fractional-remainder-slope-s={s}", "fractional-remainder-decay",
-                                      ser.fit.slope, 1.0, floor, bool(ser.fit.slope >= floor),
-                                      detail=f"floor {floor:+.3f}"))
-    return SuiteResult(checks, series)
+            _judge_series(cfg, got, ser, f"fractional-remainder-slope-s={s}", "fractional-remainder-decay")
+    return got
 
 
-def _suite_fractional_high(cfg: SuiteConfig) -> SuiteResult:
-    grid = TorusGrid(cfg.n, cfg.box)
-    win = DyadicWindow.for_grid(grid)
+def _suite_fractional_high(cfg: SuiteConfig, grid: TorusGrid, win: DyadicWindow) -> SuiteResult:
     sweep = _sweep(cfg, win)
     top = range(win.k_max - 2, win.k_max + 2)
-    checks, series = [], []
+    got = SuiteResult([])
+    checks, rows = got.checks, got.ledger_rows
     theta_710 = ledger.theta_for("7/10")
     checks.append(CheckRecord("theta-formula-exact", "split-exponent", float(theta_710), 1.0, math.inf,
                               theta_710 == Fraction(1, 2), detail="theta(7/10) == 1/2 exactly"))
     u = _window_field(grid, cfg.seed)
-    rows: list[dict] = []
     for s in cfg.s_values:
         # one ledger per level of the sweep and of the window top; the J-series read from them
         leds = {k: ledger.ledger_fractional_high(u, k, s) for k in sorted({*range(sweep[0], sweep[1] + 1), *top})}
@@ -606,20 +585,16 @@ def _suite_fractional_high(cfg: SuiteConfig) -> SuiteResult:
         checks.append(_check(f"j-reconstruction-s={s}", "lowpass-paired-identity", worst_recon, 1.0, cfg.tol("j-recon")))
         checks.append(_check(f"j-splits-s={s}", "removed-lowfrequency-split", worst_split, 1.0, cfg.tol("split-sum")))
         for term in ("J1_low", "J2_low", "J3_low"):
-            ser = ledger._removed_series([leds[k] for k in top], term, leds[top[0]].scale)
-            series.append(_series_dict(ser))
-            checks.append(CheckRecord(f"removed-{term}-top-s={s}", "removed-part-vanishing",
-                                      ser.top_value, ser.top_threshold / cfg.tol("removed-top"),
-                                      cfg.tol("removed-top"), bool(ser.top_ok)))
-    return SuiteResult(checks, series, rows)
+            ser = ledger._removed_series([leds[k] for k in top], term)
+            _judge_series(cfg, got, ser, f"removed-{term}-top-s={s}", "removed-part-vanishing", leds[top[0]].scale)
+    return got
 
 
-def _suite_s_half(cfg: SuiteConfig) -> SuiteResult:
-    grid = TorusGrid(cfg.n, cfg.box)
-    win = DyadicWindow.for_grid(grid)
+def _suite_s_half(cfg: SuiteConfig, grid: TorusGrid, win: DyadicWindow) -> SuiteResult:
     sweep = _sweep(cfg, win)
     top = range(win.k_max - 2, win.k_max + 2)
-    checks, series = [], []
+    got = SuiteResult([])
+    checks = got.checks
     checks.append(CheckRecord("theta-vanishes-at-half", "split-exponent", float(ledger.theta_for("1/2")),
                               1.0, math.inf, ledger.theta_for("1/2") == 0, detail="fixed level-0 cut"))
     u = _window_field(grid, cfg.seed)
@@ -630,19 +605,15 @@ def _suite_s_half(cfg: SuiteConfig) -> SuiteResult:
     checks.append(_check("j-reconstruction-s=1/2", "lowpass-paired-identity", worst, 1.0, cfg.tol("j-recon")))
     rep = ledger.diagnostics(u, "1/2")
     checks.append(_info("u0-sup-norm", "fixed-cut-tail-size", rep.u0_linf))
-    ser = ledger._removed_series([leds[k] for k in top], "J1_low", leds[top[0]].scale)
-    series.append(_series_dict(ser))
-    checks.append(CheckRecord("removed-J1_low-top-s=1/2", "removed-part-vanishing", ser.top_value,
-                              ser.top_threshold / cfg.tol("removed-top"), cfg.tol("removed-top"), bool(ser.top_ok)))
-    return SuiteResult(checks, series)
+    ser = ledger._removed_series([leds[k] for k in top], "J1_low")
+    _judge_series(cfg, got, ser, "removed-J1_low-top-s=1/2", "removed-part-vanishing", leds[top[0]].scale)
+    return got
 
 
-def _suite_diagnostics(cfg: SuiteConfig) -> SuiteResult:
-    grid = TorusGrid(cfg.n, cfg.box)
+def _suite_diagnostics(cfg: SuiteConfig, grid: TorusGrid, win: DyadicWindow) -> SuiteResult:
     checks = []
     u = _window_field(grid, cfg.seed, alpha=1.0)
     # u's block sups, read by the diagnostics of every s and by the Besov norm report
-    win = DyadicWindow.for_grid(grid)
     table = norms._block_table(u, win)
     for s in cfg.s_values:
         rep = ledger._diagnostics(u, s, win, table)
@@ -675,23 +646,21 @@ def _suite_diagnostics(cfg: SuiteConfig) -> SuiteResult:
     return SuiteResult(checks, tables=tables)
 
 
-def _suite_energy_balance(cfg: SuiteConfig) -> SuiteResult:
-    grid = TorusGrid(cfg.n, cfg.box)
-    win = DyadicWindow.for_grid(grid)
+def _suite_energy_balance(cfg: SuiteConfig, grid: TorusGrid, win: DyadicWindow) -> SuiteResult:
     checks = []
     f = forge.taylor_green(grid, amplitude=1e-2)
     for s in cfg.s_values:
         sv = float(ledger.as_fraction(s))
         res = forge.picard_solve(f, sv, tol=1e-11, max_iter=40)
-        checks.append(CheckRecord(f"picard-converged-s={s}", "forced-steady-solution", res.residual,
-                                  1.0, 1e-11, res.residual <= 1e-11, detail=f"{res.iterations} iterations"))
+        checks.append(_check_bound(f"picard-converged-s={s}", "forced-steady-solution", res.residual, 1e-11,
+                                   detail=f"{res.iterations} iterations"))
         pf = forge.leray_project(f)
         worst = 0.0
         for row in ledger._energy_balance_sweep(res.u, pf, s, win.indices()):
             tol_k = max(10.0 * res.residual, cfg.tol("energy-balance"))
             worst = max(worst, row.residual / (tol_k * row.scale))
-        checks.append(CheckRecord(f"energy-balance-s={s}", "tail-paired-balance", worst, 1.0, 1.0,
-                                  worst <= 1.0, detail="max over window levels of residual/(tol*scale)"))
+        checks.append(_check_bound(f"energy-balance-s={s}", "tail-paired-balance", worst, 1.0,
+                                   detail="max over window levels of residual/(tol*scale)"))
     return SuiteResult(checks)
 
 
@@ -708,25 +677,42 @@ _SUITE_BODIES = {
 }
 
 
-def _series_dict(ser: ledger.DecaySeries) -> dict:
+def _judge_series(cfg: SuiteConfig, got: SuiteResult, ser: ledger.DecaySeries, name: str, anchor: str,
+                  scale: float | None = None) -> None:
+    """Add a decay series' report block and its check to ``got``, both judged from cfg.tol.
+
+    A series with a predicted exponent passes iff its fitted slope reaches
+    the prediction minus ``decay-slack``; a removed series passes iff its top
+    value is within ``removed-top`` of ``scale``.
+    """
+    slope_ok = top_threshold = top_ok = None
+    if ser.predicted_exponent is not None:
+        floor = ser.predicted_exponent - cfg.tol("decay-slack")
+        check = CheckRecord(name, anchor, ser.fit.slope, 1.0, floor, bool(ser.fit.slope >= floor),
+                            detail=f"floor {floor:+.3f}")
+        slope_ok = check.passed
+    else:
+        check = _check(name, anchor, ser.top_value, scale, cfg.tol("removed-top"))
+        top_threshold, top_ok = check.tolerance * check.scale, check.passed
+    got.checks.append(check)
     d = {
         "term": ser.term,
         "parameter": ser.parameter,
         "points": [[int(k), float(v)] for k, v in ser.points],
         "fit_range": list(ser.fit_range) if ser.fit_range else None,
         "predicted_exponent": ser.predicted_exponent,
-        "slack": ser.slack,
-        "slope_ok": ser.slope_ok,
+        "slack": cfg.tol("decay-slack"),
+        "slope_ok": slope_ok,
         "top_value": ser.top_value,
-        "top_threshold": ser.top_threshold,
-        "top_ok": ser.top_ok,
+        "top_threshold": top_threshold,
+        "top_ok": top_ok,
     }
     if ser.fit is not None:
         lo, hi = ser.fit.slope_band()
         d["fit"] = {"slope": ser.fit.slope, "intercept": ser.fit.intercept,
                     "rms_residual": ser.fit.rms_residual, "npoints": ser.fit.npoints,
                     "slope_stderr": ser.fit.slope_stderr, "slope_band": [lo, hi]}
-    return d
+    got.series.append(d)
 
 
 def run_suite(config: SuiteConfig) -> RunReport:
@@ -736,7 +722,6 @@ def run_suite(config: SuiteConfig) -> RunReport:
         raise ResourceBudgetError(
             f"estimated {need/1e9:.2f} GB exceeds budget {_budget(config)/1e9:.2f} GB"
         )
-    set_fft_workers(config.threads)
     # validate the window geometry up front so bad configs fail fast
     grid = TorusGrid(config.n, config.box)
     win = DyadicWindow.for_grid(grid)
@@ -747,22 +732,33 @@ def run_suite(config: SuiteConfig) -> RunReport:
             raise ConfigError(f"window too small for guarded checks: {exc}") from exc
     if config.suite not in ("core",) and len(win) < 3:
         raise ConfigError(f"window [{win.k_min}, {win.k_max}] too small for dyadic suites")
+    if config.k_range and not win.k_min <= config.k_range[0] <= config.k_range[1] <= win.k_max:
+        raise ConfigError(f"k-range {config.k_range[0]}:{config.k_range[1]} is empty or leaves "
+                          f"the window [{win.k_min}, {win.k_max}]")
 
     names = [s for s in SUITES if s not in ("all",)] if config.suite == "all" else [config.suite]
     out = SuiteResult([])
     timings: dict[str, float] = {}
-    for name in names:
-        cfg_i = config if name == config.suite else SuiteConfig(
-            suite=name, n=config.n, box=config.box, seed=config.seed, theta=config.theta,
-            tolerances=config.tolerances, threads=config.threads,
-        )
-        t0 = time.perf_counter()
-        got = _SUITE_BODIES[name](cfg_i)
-        timings[name] = time.perf_counter() - t0
-        out.checks.extend(got.checks)
-        out.series.extend(got.series)
-        out.ledger_rows.extend(got.ledger_rows)
-        out.tables.extend(got.tables)
+    workers = set_fft_workers(config.threads)
+    try:
+        for name in names:
+            cfg_i = config
+            if config.suite == "all":
+                cfg_i = SuiteConfig(
+                    suite=name, n=config.n, box=config.box, seed=config.seed, theta=config.theta,
+                    tolerances=config.tolerances, threads=config.threads,
+                )
+                # a fresh grid per suite, so no multiplier cache outlives its suite
+                grid = TorusGrid(config.n, config.box)
+            t0 = time.perf_counter()
+            got = _SUITE_BODIES[name](cfg_i, grid, win)
+            timings[name] = time.perf_counter() - t0
+            out.checks.extend(got.checks)
+            out.series.extend(got.series)
+            out.ledger_rows.extend(got.ledger_rows)
+            out.tables.extend(got.tables)
+    finally:
+        set_fft_workers(workers)
 
     passed = all(c.passed is not False for c in out.checks)
     cfg_dict = {

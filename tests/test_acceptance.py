@@ -93,13 +93,13 @@ def test_criterion_06_remainder_decay():
     u, ks = suites._decay_sweep(n, seed=0)
 
     ser = ledger.remainder_decay(u, "I232", ks, Fraction(1, 2))
-    floor = ser.predicted_exponent - ser.slack
+    floor = ser.predicted_exponent - suites.TOLERANCES["decay-slack"]
     ok1 = ser.fit.slope >= floor
     print(f"  resonant remainder slope {ser.fit.slope:+.3f} vs floor {floor:+.3f}")
 
     s = Fraction(5, 6)
     ser2 = ledger.remainder_decay(u, "fractional-remainder", ks, s)
-    floor2 = ser2.predicted_exponent - ser2.slack
+    floor2 = ser2.predicted_exponent - suites.TOLERANCES["decay-slack"]
     ok2 = ser2.fit.slope >= floor2
     print(f"  fractional remainder slope {ser2.fit.slope:+.3f} vs floor {floor2:+.3f}")
 

@@ -521,8 +521,7 @@ def test_removed_terms_vanish_at_window_top(grid64):
     leds = [ledger.ledger_fractional_high(u, k, "0.6") for k in ks]
     for term in ("J1_low", "J2_low", "J3_low"):
         ser = ledger.remainder_decay(u, term, ks, "0.6")
-        assert ser.top_ok
-        assert abs(ser.points[-1][1]) <= ser.top_threshold
+        assert ser.top_value == abs(ser.points[-1][1]) <= suites.TOLERANCES["removed-top"] * ledger.ledger_scale(u)
         assert list(ser.points) == [(led.k, led.terms[term]) for led in leds]
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from lpverify import cli, forge, snapshot, suites
+from lpverify import cli, forge, ledger, snapshot, spectral, suites
 from lpverify.errors import AliasingGuardError, ConfigError, FieldError, GridError, ResourceBudgetError
 
 
@@ -90,11 +90,16 @@ def test_report_determinism(tmp_path):
 
 
 def test_thread_count_does_not_change_report():
-    # two threads first, so the process is left at the default of one
-    two, one = (
-        suites.run_suite(suites.SuiteConfig(suite="classical-identity", n=32, k_range=(1, 1), threads=t))
-        for t in (2, 1)
-    )
+    before = spectral.set_fft_workers(3)
+    try:
+        two, one = (
+            suites.run_suite(suites.SuiteConfig(suite="classical-identity", n=32, k_range=(1, 1), threads=t))
+            for t in (2, 1)
+        )
+        # a run leaves the caller's FFT worker count as it found it
+        assert spectral.set_fft_workers(before) == 3
+    finally:
+        spectral.set_fft_workers(before)
     assert [c.row() for c in one.checks] == [c.row() for c in two.checks]
     assert one.ledger_rows == two.ledger_rows
     assert one.series == two.series
@@ -137,9 +142,13 @@ def test_cli_window_too_small_exit_code(capsys):
     assert "window" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [["--n", "12"], ["--n", "4"], ["--n", "16", "--box", "-1"], ["--theta", "x"]])
+@pytest.mark.parametrize("argv", [
+    ["--n", "12"], ["--n", "4"], ["--n", "16", "--box", "-1"], ["--theta", "x"],
+    # an empty level range, and ranges outside the window [0, 3] of n=32
+    ["--k-range", "3:1"], ["--k-range", "10:12"], ["--k-range=-9:-8"],
+])
 def test_cli_bad_arguments_exit_config_before_the_suite_runs(argv, monkeypatch, capsys):
-    def body(cfg):
+    def body(cfg, grid, win):
         raise AssertionError("the suite body ran")
 
     monkeypatch.setitem(suites._SUITE_BODIES, "core", body)
@@ -157,7 +166,7 @@ def test_cli_generate_bad_grid_exit_config(tmp_path, capsys):
 
 @pytest.mark.parametrize("error", [FieldError, GridError, AliasingGuardError])
 def test_cli_numerical_failure_in_a_suite_exits_one(error, monkeypatch, capsys):
-    def body(cfg):
+    def body(cfg, grid, win):
         raise error("numerical failure inside the suite")
 
     monkeypatch.setitem(suites._SUITE_BODIES, "core", body)
@@ -221,6 +230,50 @@ def test_cli_resource_exit(monkeypatch, capsys):
     monkeypatch.setenv("LPVERIFY_BUDGET_BYTES", "1000")
     rc = cli.main(["run", "--suite", "core", "--n", "32"])
     assert rc == cli.EXIT_RESOURCE
+
+
+def _judged(ser, scale=None, **tolerances):
+    got = suites.SuiteResult([])
+    cfg = suites.SuiteConfig(suite="fractional-high", tolerances=tolerances)
+    suites._judge_series(cfg, got, ser, "probe", "probe-anchor", scale)
+    (block,), (check,) = got.series, got.checks
+    return block, check
+
+
+def test_removed_series_is_judged_by_the_run_tolerance():
+    ser = ledger.DecaySeries("J1_low", 0.6, ((2, 1e-3), (3, -2e-9)), None, (2, 3), None, top_value=2e-9)
+    block, check = _judged(ser, scale=8.0)
+    assert check.passed and block["top_ok"]
+    assert (check.value, check.scale, check.tolerance) == (2e-9, 8.0, 1e-6)
+    assert block["top_threshold"] == 1e-6 * 8.0
+    block, check = _judged(ser, scale=8.0, **{"removed-top": 1e-30})
+    assert check.passed is False and block["top_ok"] is False
+    assert (check.scale, check.tolerance, block["top_threshold"]) == (8.0, 1e-30, 1e-30 * 8.0)
+
+
+def test_slope_series_block_reports_the_run_slack():
+    pts = tuple((k, 2.0**k) for k in range(-4, 0))
+    ser = ledger.DecaySeries("I232", 0.25, pts, ledger.fit_decay(pts), (-4, -1), 1.4)
+    block, check = _judged(ser)
+    assert block["slack"] == 0.25 and block["slope_ok"] is check.passed is False
+    block, check = _judged(ser, **{"decay-slack": 0.5})
+    assert block["slack"] == 0.5 and block["slope_ok"] is check.passed is True
+    assert check.tolerance == 1.4 - 0.5 and check.detail == "floor +0.900"
+
+
+def test_tolerance_overrides_reach_every_series_verdict():
+    tols = {"removed-top": 1e-9, "decay-slack": 0.5}
+    rep = suites.run_suite(suites.SuiteConfig(suite="fractional-high", n=32, seed=3, tolerances=tols))
+    scales = {row["scale"] for row in rep.ledger_rows}
+    assert len(scales) == 1
+    removed = [c for c in rep.checks if c.name.startswith("removed-")]
+    assert len(removed) == len(rep.series) == 6
+    for check, block in zip(removed, rep.series):
+        assert check.name.startswith(f"removed-{block['term']}-top-")
+        assert (check.scale, check.tolerance) == (*scales, 1e-9)
+        assert block["slack"] == 0.5
+        assert block["top_ok"] is check.passed
+        assert block["top_threshold"] == 1e-9 * check.scale
 
 
 def test_fit_decay_reexported():
