@@ -217,7 +217,8 @@ class _Plan:
     last step that reads it.  A form is a grid and reads (factor,
     component, gradient or not): a triple's are ``products._tri_reads``'s
     (without them it is zero), a product's its two components on the grid
-    of ``products._eval_grid_for`` (a zero product is left out).  A slot is
+    of ``products._eval_grid_for``, and the two bands that grid and
+    ``products.restrict_to`` read (a zero product is left out).  A slot is
     (key and component, grid n, gradient or not).  ``samples`` counts the
     arrays sampled per grid n, ``peak_bytes`` the most sample bytes held at
     once.  ``run`` evaluates each step from its form and drops each slot
@@ -246,8 +247,9 @@ class _Plan:
                     (nz_a, band_a), (nz_b, band_b) = shapes[0][step.i], shapes[1][step.j]
                     if not (nz_a and nz_b):
                         continue  # a zero product is left out
-                    eg = products._eval_grid_for(ws.grid, (band_a, band_b))
-                    form = eg, [(0, step.i, False), (1, step.j, False)]
+                    bands = band_a, band_b
+                    eg = products._eval_grid_for(ws.grid, bands)
+                    form = eg, [(0, step.i, False), (1, step.j, False)], bands
                 else:
                     form = products._tri_reads(ws.grid, shapes)
                 reads = form[1] if form else []
@@ -278,7 +280,7 @@ class _Plan:
                 f = [self.sampler.held[k] for k in ks]
                 if isinstance(step, _Product):
                     a, b = (self.sampler((ks[x], i), f[x].components[i], form[0]) for x, i, _ in form[1])
-                    value = step.finish(products.restrict_to(a * b, form[0], self.grid))
+                    value = step.finish(products.restrict_to(a * b, form[0], self.grid, form[2]))
                 else:
                     value = products._tri(self.sampler, f, ks, form)
                 for x in {*slots, *ks}:

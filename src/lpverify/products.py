@@ -3,10 +3,13 @@
 Quadratic and cubic expressions are evaluated in physical space, each on
 the grid one rule (Orszag's, ``_eval_grid_for``) names for its factors'
 axis bandwidths B: the smallest power of two n' >= 8 with n' > sum B + t,
-so the modes |m| <= t are exact, and n' > 2 max B.  A product keeps every
-mode its grid resolves: window-band pairs stay on their grid, narrow-band
-pairs drop to a coarser one, and full-band fields go to 2n.  A trilinear
-form needs only the zero mode of its integrand, t = 0.
+so the modes |m| <= t are exact, and n' > 2 max B.  A product keeps the
+box |m|_inf <= sum B that its factors can reach, capped at what its grid
+resolves: window-band pairs stay on their grid, narrow-band pairs drop to
+a coarser one, and full-band fields go to 2n.  Where the box fits the
+grid, t = sum B and no alias image lands on the evaluation grid, so every
+mode beyond the box is zero but for rounding; where it does not, nothing
+is cut.  A trilinear form needs only the zero mode of its integrand, t = 0.
 """
 
 from __future__ import annotations
@@ -61,21 +64,34 @@ def samples_on(u: SpectralField, dst: TorusGrid) -> np.ndarray:
     return _inverse_real(u, dst)
 
 
-def restrict_to(samples: np.ndarray, eval_grid: TorusGrid, out: TorusGrid) -> SpectralField:
-    """Forward-transform on the evaluation grid, keep the modes ``out`` resolves.
+def restrict_to(samples: np.ndarray, eval_grid: TorusGrid, out: TorusGrid, bands) -> SpectralField:
+    """Forward-transform on the evaluation grid, keep the box its factors reach.
 
-    The unpaired Nyquist planes of both grids are left out, so the result
-    is a clean calculus-band field on ``out``.  From a coarser evaluation
-    grid the kept modes are scanned there, so the result knows its support
-    without a scan of the larger ``out`` cube.
+    ``bands`` are the axis bandwidths of the factors whose product
+    ``samples`` holds, the ones ``_eval_grid_for`` was handed.  Only the box
+    |m|_inf <= sum(bands) is kept, capped at the modes both grids resolve
+    less their unpaired Nyquist planes, so the result is a clean
+    calculus-band field on ``out``.  On the grid ``_eval_grid_for`` names,
+    every mode beyond the box is zero in exact arithmetic, so the cut drops
+    rounding only.  From a coarser evaluation grid the kept modes are
+    scanned there, so the result knows its support without a scan of the
+    larger ``out`` cube.
     """
-    ax = _common_axis(eval_grid, out)
+    _common_axis(eval_grid, out)  # raises unless the two grids cover one box
     f = transform_forward(eval_grid, samples)
     e = eval_grid.n
-    if e < out.n:  # every mode of the evaluation grid but its Nyquist planes is kept
+    h = min(sum(bands), min(e, out.n) // 2 - 1)  # the kept box |m|_inf <= h
+    if e > out.n:  # the eight octants of the box, copied into out's cube
+        coeffs = np.zeros((out.n,) * 3, dtype=np.complex128)
+        negative = slice(-h, None) if h else slice(0)  # the modes -h..-1, none for h = 0
+        for octant in itertools.product((slice(0, h + 1), negative), repeat=3):
+            coeffs[octant] = f.coeffs[octant]
+        return SpectralField(out, coeffs, real_valued=True, mean_zero=bool(coeffs[0, 0, 0] == 0))
+    beyond = [(slice(None),) * axis + (slice(h + 1, e - h),) for axis in range(3)]  # h < |m| <= e/2
+    if e < out.n:  # the box's nonzero modes, scanned on the evaluation grid
         kept = f.coeffs != 0
-        for axis in range(3):
-            kept[(slice(None),) * axis + (e // 2,)] = False
+        for slab in beyond:
+            kept[slab] = False
         local = _scan_support(kept)
         lift = np.arange(e)
         lift[e // 2 + 1 :] += out.n - e
@@ -84,14 +100,9 @@ def restrict_to(samples: np.ndarray, eval_grid: TorusGrid, out: TorusGrid) -> Sp
             out, (i * out.n + j) * out.n + k, np.take(f.coeffs, local),
             real_valued=True, mean_zero=bool(f.coeffs[0, 0, 0] == 0),
         )
-    if e == out.n:  # the eight octants are f's own cube less its three Nyquist planes
-        coeffs = f.coeffs
-        for axis in range(3):
-            coeffs[(slice(None),) * axis + (e // 2,)] = 0
-    else:
-        coeffs = np.zeros((out.n,) * 3, dtype=np.complex128)
-        for octant in itertools.product(ax, repeat=3):
-            coeffs[octant] = f.coeffs[octant]
+    coeffs = f.coeffs  # the box is f's own cube less three slabs
+    for slab in beyond:
+        coeffs[slab] = 0
     return SpectralField(out, coeffs, real_valued=True, mean_zero=bool(coeffs[0, 0, 0] == 0))
 
 
@@ -100,8 +111,10 @@ def _eval_grid_for(grid: TorusGrid, bands, t: int | None = None) -> TorusGrid:
     of axis bandwidths ``bands`` is exact on |m| <= t: n' > sum(bands) + t,
     as alias images sit at axis distance >= n' - sum(bands), and
     n' > 2 max(bands), so no factor reaches its Nyquist plane.  The default
-    t = min(n/2 - 1, sum(bands)) keeps all ``grid`` resolves, which implies
-    the second clause for factors it resolves; a trilinear form takes t = 0.
+    t = min(n/2 - 1, sum(bands)) keeps all of the product's box
+    |m|_inf <= sum(bands) that ``grid`` resolves, which implies the second
+    clause for factors it resolves; ``restrict_to`` keeps that box and
+    drops the rest.  A trilinear form takes t = 0.
     """
     t = min(grid.n // 2 - 1, sum(bands)) if t is None else t
     n = 8
@@ -122,8 +135,9 @@ def _product(f: SpectralField, g: SpectralField, sample: _Sampler, keys) -> Spec
     grid = f.grid
     if f.max_abs_coeff() == 0.0 or g.max_abs_coeff() == 0.0:
         return SpectralField.zeros(grid)
-    eg = _eval_grid_for(grid, (f.band_axis, g.band_axis))
-    return restrict_to(sample(keys[0], f, eg) * sample(keys[1], g, eg), eg, grid)
+    bands = f.band_axis, g.band_axis
+    eg = _eval_grid_for(grid, bands)
+    return restrict_to(sample(keys[0], f, eg) * sample(keys[1], g, eg), eg, grid, bands)
 
 
 class _Sampler:
@@ -157,7 +171,8 @@ def advective_term(u: VectorField, a: VectorField) -> VectorField:
     grid = u.grid
     if a.grid != grid:
         raise GridError("advection operands live on different grids")
-    eg = _eval_grid_for(grid, (u.band_axis(), a.band_axis()))
+    bands = u.band_axis(), a.band_axis()
+    eg = _eval_grid_for(grid, bands)
     sample = _Sampler()
     us = [sample(None, c, eg) for c in u.components]
     comps = []
@@ -166,7 +181,7 @@ def advective_term(u: VectorField, a: VectorField) -> VectorField:
         for uj, gj in zip(us, sample(None, ai, eg, grad=True) or ()):
             if uj is not None:
                 acc += uj * gj
-        comps.append(restrict_to(acc, eg, grid))
+        comps.append(restrict_to(acc, eg, grid, bands))
     return VectorField(tuple(comps))  # type: ignore[arg-type]
 
 

@@ -109,6 +109,8 @@ class SuiteConfig:
         if not (0 < theta < 1):
             raise ConfigError(f"theta must lie in (0,1), got {theta}")
         object.__setattr__(self, "theta", theta)
+        if self.suite == "all" and self.s_values:
+            raise ConfigError("suite 'all' takes no s values: no one list fits the s range of every suite")
         svals = tuple(self.s_values) or _S_DEFAULTS.get(self.suite, ())
         object.__setattr__(self, "s_values", svals)
         for raw in svals:
@@ -478,13 +480,12 @@ def _classical_sweep(cfg: SuiteConfig, grid: TorusGrid, win: DyadicWindow) -> Su
     agg = {key: 0.0 for key in ("I11", "I21", "I22", "I3", "recon", "split1", "split2", "theta", "audit")}
     for i in range(_CLASSICAL_FIELDS):
         u = _window_field(grid, cfg.seed + i)
-        S = ledger.ledger_scale(u)
         for k in range(sweep[0], sweep[1] + 1):
             # the ledger and the support audit run as one plan, which samples each filtrate once
             ws = ledger._Workspace(u, k)
             led, audit = ws.run(ledger._classical(ws, cfg.theta), ledger._audit(ws))
             rows.extend(_ledger_rows(cfg, led, cfg.seed + i))
-            T = led.terms
+            T, S = led.terms, led.scale
             agg["I11"] = max(agg["I11"], abs(T["I11"]) / S)
             agg["I21"] = max(agg["I21"], abs(T["I21"]) / S)
             agg["I22"] = max(agg["I22"], abs(T["I22"]) / S)
@@ -746,7 +747,7 @@ def run_suite(config: SuiteConfig) -> RunReport:
             if config.suite == "all":
                 cfg_i = SuiteConfig(
                     suite=name, n=config.n, box=config.box, seed=config.seed, theta=config.theta,
-                    tolerances=config.tolerances, threads=config.threads,
+                    k_range=config.k_range, tolerances=config.tolerances, threads=config.threads,
                 )
                 # a fresh grid per suite, so no multiplier cache outlives its suite
                 grid = TorusGrid(config.n, config.box)

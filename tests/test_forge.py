@@ -283,6 +283,14 @@ def test_picard_small_taylor_green(grid32, s):
     assert resid.l2() <= 10 * max(res.residual, 1e-10) * scale
 
 
+@pytest.mark.parametrize("s", [1.0, 5.0 / 6.0, 0.5])
+def test_picard_iterates_keep_the_band_products_reach(grid32, s):
+    # the Stokes solution has axis band 1, and each iterate doubles it: 2, 4, 8
+    f = forge.taylor_green(grid32, amplitude=1e-2)
+    res = forge.picard_solve(f, s, tol=1e-11, max_iter=40)
+    assert res.iterations == 3 and res.u.band_axis() == 8
+
+
 def test_picard_divergence_detected(grid16):
     f = forge.taylor_green(grid16, amplitude=50.0)
     with pytest.raises(PicardError):

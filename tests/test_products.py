@@ -48,9 +48,9 @@ def _eval_grid_n(monkeypatch, f, h):
     seen = []
     restrict = products.restrict_to
 
-    def spy(samples, eval_grid, out):
+    def spy(samples, eval_grid, out, bands):
         seen.append(eval_grid.n)
-        return restrict(samples, eval_grid, out)
+        return restrict(samples, eval_grid, out, bands)
 
     monkeypatch.setattr(products, "restrict_to", spy)
     products.product(f, h)
@@ -61,7 +61,7 @@ def _eval_grid_n(monkeypatch, f, h):
 def _doubled_grid_product(f, h):
     G = TorusGrid(2 * f.grid.n, f.grid.box_length)
     return products.restrict_to(
-        products.samples_on(f, G) * products.samples_on(h, G), G, f.grid
+        products.samples_on(f, G) * products.samples_on(h, G), G, f.grid, (f.band_axis, h.band_axis)
     )
 
 
@@ -88,6 +88,27 @@ def test_product_matches_doubled_grid_oracle(monkeypatch, pair, n, eval_n):
     assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-13 * max(
         a.max_abs_coeff(), 1e-300
     )
+
+
+def _box(grid, h):
+    """The modes |m|_inf <= h of grid's cube."""
+    m = np.abs(grid.modes)
+    return np.maximum(np.maximum(m[:, None, None], m[None, :, None]), m[None, None, :]) <= h
+
+
+def test_products_keep_only_the_box_their_factors_reach(monkeypatch, grid32):
+    f, h = (forge.scalar_band(grid32, 4, (1, 2), salt=s) for s in (1, 2))
+    reach = f.band_axis + h.band_axis
+    assert _eval_grid_n(monkeypatch, f, h) == 32 and reach < 15  # native, and the box leaves modes out
+    p = products.product(f, h)
+    assert p.band_axis <= reach and not p.coeffs[~_box(grid32, reach)].any()
+    u = _band_field(grid32, 5, (1, 2))
+    reach = 2 * u.band_axis()
+    assert products._eval_grid_for(grid32, (u.band_axis(),) * 2) == grid32 and reach < 15
+    adv = products.advective_term(u, u)
+    assert adv.band_axis() <= reach
+    for c in adv.components:
+        assert c.max_abs_coeff() > 0 and not c.coeffs[~_box(grid32, reach)].any()
 
 
 def test_samples_on_coarsens_band_limited_field(grid32):
@@ -127,18 +148,22 @@ def test_advective_term_skips_zero_factors(monkeypatch, grid32):
     zero = SpectralField.zeros(grid32)
     u = VectorField((f.components[0], zero, f.components[2]))
     a = VectorField((zero, f.components[1], f.components[2]))
-    eg = products._eval_grid_for(grid32, (u.band_axis(), a.band_axis()))
-    want = []  # every component sampled, zeros included
+    bands = u.band_axis(), a.band_axis()
+    eg = products._eval_grid_for(grid32, bands)
+    want = []  # every component sampled, zeros included, and no mode cut
     for ai in a.components:
         acc = np.zeros((eg.n,) * 3)
         for uj, gj in zip(u.components, gradient(ai).components):
             acc += products.samples_on(uj, eg) * products.samples_on(gj, eg)
-        want.append(products.restrict_to(acc, eg, grid32))
+        want.append(products.restrict_to(acc, eg, grid32, (grid32.n,)))  # a box past the grid
     calls = _count_samples(monkeypatch)
     got = products.advective_term(u, a)
     assert calls == [eg.n] * (2 + 2 * 3)  # two nonzero u_j, then grad a_i for two nonzero a_i
+    box = _box(grid32, sum(bands))
+    assert not box.all()  # the box leaves modes out
     for g, w in zip(got.components, want):
-        assert np.array_equal(g.coeffs, w.coeffs)
+        assert np.array_equal(g.coeffs[box], w.coeffs[box])
+        assert not g.coeffs[~box].any()
 
 
 def test_trilinear_skew_symmetry(grid32):

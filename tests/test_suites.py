@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from lpverify import cli, forge, ledger, snapshot, spectral, suites
+from lpverify import cli, forge, ledger, products, snapshot, spectral, suites
 from lpverify.errors import AliasingGuardError, ConfigError, FieldError, GridError, ResourceBudgetError
 
 
@@ -154,6 +154,73 @@ def test_cli_bad_arguments_exit_config_before_the_suite_runs(argv, monkeypatch, 
     monkeypatch.setitem(suites._SUITE_BODIES, "core", body)
     assert cli.main(["run", "--suite", "core", *argv]) == cli.EXIT_CONFIG
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_suite_all_hands_its_k_range_to_every_suite(monkeypatch):
+    seen = {}
+
+    def body(cfg, grid, win):
+        seen[cfg.suite] = cfg.k_range, cfg.s_values
+        return suites.SuiteResult([])
+
+    for name in suites._SUITE_BODIES:
+        monkeypatch.setitem(suites._SUITE_BODIES, name, body)
+    rep = suites.run_suite(suites.SuiteConfig(suite="all", n=64, k_range=(2, 2)))
+    assert rep.config["k_range"] == [2, 2]
+    assert set(seen) == set(suites._SUITE_BODIES)
+    for name, (k_range, s_values) in seen.items():
+        assert k_range == (2, 2) and s_values == suites._S_DEFAULTS.get(name, ())
+
+
+def test_suite_all_rejects_s_values(monkeypatch, capsys):
+    def body(cfg, grid, win):
+        raise AssertionError("a suite body ran")
+
+    for name in suites._SUITE_BODIES:
+        monkeypatch.setitem(suites._SUITE_BODIES, name, body)
+    with pytest.raises(ConfigError):
+        suites.SuiteConfig(suite="all", n=64, s_values=("3/5",))
+    assert cli.main(["run", "--suite", "all", "--n", "64", "--s", "3/5"]) == cli.EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_energy_balance_samples_on_no_grid_above_its_own(monkeypatch):
+    # Picard iterates keep the band 8 their products reach, so the last
+    # advective term and the trilinear sweep stay on 32^3
+    inverse, forward = spectral._inverse_real, products.transform_forward
+    seen = {"inverse": [], "forward": []}
+
+    def spy_inverse(u, dst):
+        seen["inverse"].append(dst.n)
+        return inverse(u, dst)
+
+    def spy_forward(grid, samples):
+        seen["forward"].append(grid.n)
+        return forward(grid, samples)
+
+    monkeypatch.setattr(spectral, "_inverse_real", spy_inverse)
+    monkeypatch.setattr(products, "_inverse_real", spy_inverse)
+    monkeypatch.setattr(products, "transform_forward", spy_forward)
+    rep = suites.run_suite(suites.SuiteConfig(suite="energy-balance", n=32, seed=3))
+    assert rep.passed
+    # transforms per grid n for one s, and the suite runs its three default s values
+    for key, want in (("inverse", {8: 8, 16: 12, 32: 48}), ("forward", {8: 3, 16: 3, 32: 6})):
+        got = seen[key]
+        assert {n: got.count(n) for n in set(got)} == {n: 3 * c for n, c in want.items()}, key
+
+
+def test_classical_sweep_reads_each_ledger_scale(monkeypatch):
+    calls = []
+    scale = ledger.ledger_scale
+
+    def spy(u):
+        calls.append(u)
+        return scale(u)
+
+    monkeypatch.setattr(ledger, "ledger_scale", spy)
+    rep = suites.run_suite(suites.SuiteConfig(suite="classical-identity", n=32, seed=3, k_range=(1, 1)))
+    assert rep.passed
+    assert len(calls) == suites._CLASSICAL_FIELDS  # one per ledger, none for the sweep
 
 
 def test_cli_generate_bad_grid_exit_config(tmp_path, capsys):

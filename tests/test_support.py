@@ -487,30 +487,33 @@ def _parent_transform_forward(grid, samples):
     return _parent_mirror_half_spectrum(scipy.fft.rfftn(samples), grid.n) * (grid.cell_volume / FOURIER_NORM)
 
 
-def _parent_restrict_to(samples, eval_grid, out):
-    """``restrict_to``'s cube by the octant copy: every mode both grids
-    resolve but their Nyquist planes, copied into a zeroed cube of ``out``."""
+def _parent_restrict_to(samples, eval_grid, out, bands):
+    """``restrict_to``'s cube by the octant copy: every mode of the box
+    |m|_inf <= sum(bands) that both grids resolve but their Nyquist planes,
+    copied into a zeroed cube of ``out``."""
     f = _parent_transform_forward(eval_grid, samples)
-    h = min(eval_grid.n, out.n) // 2 - 1
+    h = min(sum(bands), min(eval_grid.n, out.n) // 2 - 1)
     coeffs = np.zeros((out.n,) * 3, dtype=np.complex128)
-    for octant in itertools.product((slice(0, h + 1), slice(-h, None)), repeat=3):
-        coeffs[octant] = f[octant]
+    for octant in itertools.product((range(h + 1), range(-h, 0)), repeat=3):
+        coeffs[np.ix_(*octant)] = f[np.ix_(*octant)]
     return coeffs
 
 
 def _forward_samples(n):
-    """Real samples: random, random integers, and trigonometric polynomials
-    whose spectra hold exact zeros of either sign."""
+    """Real samples and the axis bandwidths of their factors: random, random
+    integers, and trigonometric polynomials whose spectra hold exact zeros
+    of either sign."""
     rng = np.random.default_rng(n)
     x, y, z = TorusGrid(n).mesh
-    return (rng.standard_normal((n,) * 3), rng.integers(-3, 4, (n,) * 3).astype(float),
-            np.cos(x) * np.sin(2 * y) - np.sin(3 * z), np.sin(x + y) ** 2, np.zeros((n,) * 3))
+    return ((rng.standard_normal((n,) * 3), (n // 2,)), (rng.integers(-3, 4, (n,) * 3).astype(float), (n // 2,)),
+            (np.cos(x) * np.sin(2 * y) - np.sin(3 * z), (1, 2)), (np.sin(x + y) ** 2, (1, 1)),
+            (np.zeros((n,) * 3), (0,)))
 
 
 @pytest.mark.parametrize("n", [8, 16, 32, 64])
 def test_forward_mirror_matches_gather_oracle(n):
     g = TorusGrid(n, TWO_PI)
-    for samples in _forward_samples(n):
+    for samples, _ in _forward_samples(n):
         for workers in (1, 2):
             spectral.set_fft_workers(workers)
             try:
@@ -524,10 +527,10 @@ def test_forward_mirror_matches_gather_oracle(n):
 @pytest.mark.parametrize("n", [16, 32])
 def test_restrict_to_matches_octant_copy(n):
     g = TorusGrid(n, TWO_PI)
-    for samples in _forward_samples(n):
+    for samples, bands in _forward_samples(n):
         for out in (g, TorusGrid(n // 2, TWO_PI), TorusGrid(2 * n, TWO_PI)):  # native, coarser, finer
-            r = products.restrict_to(samples, g, out)
-            want = _parent_restrict_to(samples, g, out)
+            r = products.restrict_to(samples, g, out, bands)
+            want = _parent_restrict_to(samples, g, out, bands)
             assert r.real_valued and r.mean_zero == (want[0, 0, 0] == 0)
             if out.n > n:  # lifted from a scan of the nonzero modes: +0.0 off the support
                 assert np.array_equal(r.coeffs, want)
