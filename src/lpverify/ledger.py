@@ -213,16 +213,15 @@ class _Plan:
     """A table's steps and the form of each, worked out before any FFT.
 
     Each filter is keyed once, and each filtrate built and its
-    ``products._shape`` read once, here; ``sampler`` holds it until the
-    last step that reads it.  A form is a grid and reads (factor,
-    component, gradient or not): a triple's are ``products._tri_reads``'s
-    (without them it is zero), a product's its two components on the grid
-    of ``products._eval_grid_for``, and the two bands that grid and
-    ``products.restrict_to`` read (a zero product is left out).  A slot is
-    (key and component, grid n, gradient or not).  ``samples`` counts the
-    arrays sampled per grid n, ``peak_bytes`` the most sample bytes held at
-    once.  ``run`` evaluates each step from its form and drops each slot
-    and filtrate after its last step.
+    ``products._shape`` read once, here; ``filtrates`` holds it until the
+    last step that reads it.  A triple's form is its
+    ``products._tri_reads`` (without one it is zero), a product's its
+    ``products._product_form`` (without one it is left out); a form is a
+    grid and the reads (factor, component, gradient or not) on it.  A slot
+    is (key and component, grid n, gradient or not).  ``samples`` counts
+    the arrays sampled per grid n, ``peak_bytes`` the most sample bytes
+    held at once.  ``run`` runs each step's form on ``sampler`` and drops
+    each slot and filtrate after its last step.
     """
 
     def __init__(self, ws: _Workspace, table: dict):
@@ -244,20 +243,18 @@ class _Plan:
                 ks = tuple(keys[f] for f in filters)
                 shapes = [built[k][1] for k in ks]
                 if product:
-                    (nz_a, band_a), (nz_b, band_b) = shapes[0][step.i], shapes[1][step.j]
-                    if not (nz_a and nz_b):
+                    form = products._product_form(ws.grid, shapes[0][step.i], shapes[1][step.j])
+                    if form is None:
                         continue  # a zero product is left out
-                    bands = band_a, band_b
-                    eg = products._eval_grid_for(ws.grid, bands)
-                    form = eg, [(0, step.i, False), (1, step.j, False)], bands
+                    reads = [(0, step.i, False), (1, step.j, False)]
                 else:
                     form = products._tri_reads(ws.grid, shapes)
-                reads = form[1] if form else []
+                    reads = form[1] if form else []
                 slots = list(dict.fromkeys(((ks[f], i), form[0].n, grad) for f, i, grad in reads))
                 for x in slots + (list(ks) if slots else []):
                     self.last[x] = len(self.steps)
                 self.steps.append((name, step, ks, form, slots))
-        self.sampler.held.update((k, f) for k, (f, _) in built.items() if k in self.last)
+        self.filtrates = {k: f for k, (f, _) in built.items() if k in self.last}
         self.samples: dict[int, int] = {}
         live: dict = {}  # the bytes of each slot held
         self.peak_bytes = 0
@@ -277,15 +274,19 @@ class _Plan:
         out: dict[str, list] = {name: [] for name in self.names}
         for t, (name, step, ks, form, slots) in enumerate(self.steps):
             if form:
-                f = [self.sampler.held[k] for k in ks]
+                f = [self.filtrates[k] for k in ks]
                 if isinstance(step, _Product):
-                    a, b = (self.sampler((ks[x], i), f[x].components[i], form[0]) for x, i, _ in form[1])
-                    value = step.finish(products.restrict_to(a * b, form[0], self.grid, form[2]))
+                    factors = f[0].components[step.i], f[1].components[step.j]
+                    keys = (ks[0], step.i), (ks[1], step.j)
+                    value = step.finish(products._product(self.sampler, factors, keys, form))
                 else:
                     value = products._tri(self.sampler, f, ks, form)
-                for x in {*slots, *ks}:
-                    if self.last[x] == t:
-                        del self.sampler.held[x]
+                for slot in slots:
+                    if self.last[slot] == t:
+                        del self.sampler.held[slot]
+                for k in set(ks):
+                    if self.last[k] == t:
+                        del self.filtrates[k]
             out[name].append(value if form else 0.0)  # a triple without a form is zero
         return out
 
@@ -898,28 +899,22 @@ def energy_balance_residual(u: VectorField, f: VectorField, s, k: int) -> Energy
 def _energy_balance_sweep(u: VectorField, f: VectorField, s, ks) -> list[EnergyBalanceRow]:
     """``energy_balance_residual`` at each level of ``ks``.
 
-    Only the tail T_k u depends on k.  The trilinear terms run as one
-    ``products._trilinear_sweep``, so u and grad u are sampled once per
+    Only the tail T_k u depends on k.  Every level's tri(u, u, T_k u) runs
+    on one sampler keyed for u, so u and grad u are sampled once per
     evaluation grid, not once per level, and the scale floor ||f|| ||u||
-    is computed once.  Tails are built one level at a time, and each
-    level's terms keep the order of a call of its own.
+    is computed once.  Tails are built one level at a time.
     """
     sv = float(as_fraction(s))
     floor = f.l2() * u.l2()
-    terms = []  # (k, t1, t3, t4) per level
-
-    def tails():
-        for k in ks:
-            tl = dyadic.tail(u, k)
-            su = dyadic.lowpass(u, k)
-            t1 = norms.fractional_dirichlet(tl, sv)
-            yield tl  # the sweep takes tri(u, u, tl) before it resumes here
-            terms.append((k, t1, _frac_pairing(su, tl, sv), _l2_pairing(f, tl)))
-            del tl, su  # hold no tail while the next one is built
-
-    t2s = products._trilinear_sweep(u, u, tails())
+    sample, shape = products._Sampler(), products._shape(u)
     rows = []
-    for (k, t1, t3, t4), t2 in zip(terms, t2s):
+    for k in ks:
+        tl = dyadic.tail(u, k)
+        t1 = norms.fractional_dirichlet(tl, sv)
+        form = products._tri_reads(u.grid, (shape, shape, products._shape(tl)))
+        t2 = products._tri(sample, (u, u, tl), ("u", "u", None), form) if form else 0.0
+        t3 = _frac_pairing(dyadic.lowpass(u, k), tl, sv)
+        t4 = _l2_pairing(f, tl)
         residual = abs(t1 + t2 + t3 - t4)
         scale = max(abs(t1), abs(t2), abs(t3), abs(t4), floor, 1e-300)
         rows.append(EnergyBalanceRow(k, sv, residual, scale, t1, t2, t3, t4))

@@ -10,6 +10,13 @@ a coarser one, and full-band fields go to 2n.  Where the box fits the
 grid, t = sum B and no alias image lands on the evaluation grid, so every
 mode beyond the box is zero but for rounding; where it does not, nothing
 is cut.  A trilinear form needs only the zero mode of its integrand, t = 0.
+
+A form is a grid and what is read on it: ``_product_form`` names a
+product's, ``_tri_reads`` a trilinear form's, each from its factors'
+``_shape``, and a zero factor gives no form.  One runner exists per form,
+``_product`` and ``_tri``; every caller holds one ``_Sampler``, gets the
+form and runs it, and the sampler samples only what a form reads, which
+is never a zero component.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .errors import AliasingGuardError, GridError
+from .errors import AliasingGuardError, FieldError, GridError
 from .spectral import (
     SpectralField,
     TorusGrid,
@@ -54,9 +61,13 @@ def _require_clean_band(u: SpectralField, dst: TorusGrid) -> None:
 
 
 def samples_on(u: SpectralField, dst: TorusGrid) -> np.ndarray:
-    """Sample the trigonometric field on another grid of the same box (real
-    fields), through ``transform_inverse``'s kernel: only the box of the
-    half spectrum that u's band reaches is placed on ``dst`` and transformed."""
+    """Sample the real trigonometric field on another grid of the same box,
+    through ``transform_inverse``'s kernel: only the box of the half
+    spectrum that u's band reaches is placed on ``dst`` and transformed.
+    A complex-valued field raises ``FieldError``: the kernel reads only
+    its kz >= 0 half, and every product of samples is stored as real."""
+    if not u.real_valued:
+        raise FieldError("products take real-valued fields only")
     if dst == u.grid:
         return u.samples()
     _common_axis(u.grid, dst)  # raises unless the two grids cover one box
@@ -125,28 +136,31 @@ def _eval_grid_for(grid: TorusGrid, bands, t: int | None = None) -> TorusGrid:
 
 def product(f: SpectralField, g: SpectralField) -> SpectralField:
     """De-aliased pointwise product returned on the common grid."""
-    return _product(f, g, _Sampler(), (None, None))
-
-
-def _product(f: SpectralField, g: SpectralField, sample: _Sampler, keys) -> SpectralField:
-    """``product`` with the operands sampled by ``sample`` under ``keys``."""
     if f.grid != g.grid:
         raise GridError("product operands live on different grids")
-    grid = f.grid
-    if f.max_abs_coeff() == 0.0 or g.max_abs_coeff() == 0.0:
+    (a,), (b,) = _shape(f), _shape(g)
+    return _product(_Sampler(), (f, g), (None, None), _product_form(f.grid, a, b))
+
+
+def _product(sample: _Sampler, factors, keys, form) -> SpectralField:
+    """The product of the two scalar ``factors`` with ``form`` their
+    ``_product_form``, each sampled by ``sample`` under its key (None:
+    sampled afresh); zero on their grid without a form."""
+    grid = factors[0].grid
+    if form is None:
         return SpectralField.zeros(grid)
-    bands = f.band_axis, g.band_axis
-    eg = _eval_grid_for(grid, bands)
-    return restrict_to(sample(keys[0], f, eg) * sample(keys[1], g, eg), eg, grid, bands)
+    eg, bands = form
+    a, b = (sample(key, c, eg) for key, c in zip(keys, factors))
+    return restrict_to(a * b, eg, grid, bands)
 
 
 class _Sampler:
     """Physical samples of scalar fields, and of their gradients, per (key, grid n).
 
     A key names one scalar field for as long as the sampler lives; the key
-    None samples afresh and keeps nothing.  A zero field samples to None.
-    ``held`` maps each slot (key, grid n, gradient or not) to its samples,
-    which stay until their holder drops them from it.
+    None samples afresh and keeps nothing.  ``held`` maps each slot (key,
+    grid n, gradient or not) to its samples, which stay until their holder
+    drops them from it.
     """
 
     def __init__(self):
@@ -157,10 +171,7 @@ class _Sampler:
         slot = (key, eg.n, grad)
         if slot in self.held:
             return self.held[slot]
-        arrays = []
-        if c.max_abs_coeff() != 0.0:
-            arrays = [samples_on(g, eg) for g in (gradient(c).components if grad else (c,))]
-        out = (arrays if grad else arrays[0]) if arrays else None
+        out = [samples_on(g, eg) for g in gradient(c).components] if grad else samples_on(c, eg)
         if key is not None:
             self.held[slot] = out
         return out
@@ -174,11 +185,11 @@ def advective_term(u: VectorField, a: VectorField) -> VectorField:
     bands = u.band_axis(), a.band_axis()
     eg = _eval_grid_for(grid, bands)
     sample = _Sampler()
-    us = [sample(None, c, eg) for c in u.components]
+    us = [sample(None, c, eg) if nonzero else None for c, (nonzero, _) in zip(u.components, _shape(u))]
     comps = []
-    for ai in a.components:
+    for ai, (nonzero, _) in zip(a.components, _shape(a)):
         acc = np.zeros((eg.n,) * 3)
-        for uj, gj in zip(us, sample(None, ai, eg, grad=True) or ()):
+        for uj, gj in zip(us, sample(None, ai, eg, grad=True) if nonzero else ()):
             if uj is not None:
                 acc += uj * gj
         comps.append(restrict_to(acc, eg, grid, bands))
@@ -188,39 +199,30 @@ def advective_term(u: VectorField, a: VectorField) -> VectorField:
 def trilinear(u: VectorField, a: VectorField, b: VectorField) -> float:
     """The advective trilinear form  integral of u . grad a . b dx.
 
-    Evaluated as a plain quadrature on the grid of ``_eval_grid_for``, where
-    no alias image can reach the zero mode of the cubic integrand and every
-    factor is resolved.  This is the one-element case of ``_trilinear_sweep``,
-    which samples u and grad a once per evaluation grid for many b.
+    Evaluated by ``_tri`` as a plain quadrature on the grid of
+    ``_eval_grid_for``, where no alias image can reach the zero mode of the
+    cubic integrand and every factor is resolved; zero without a form.
     """
-    return _trilinear_sweep(u, a, (b,))[0]
+    if a.grid != u.grid or b.grid != u.grid:
+        raise GridError("trilinear operands live on different grids")
+    form = _tri_reads(u.grid, [_shape(f) for f in (u, a, b)])
+    return _tri(_Sampler(), (u, a, b), (None, None, None), form) if form else 0.0
 
 
-def _trilinear_sweep(u: VectorField, a: VectorField, bs) -> list[float]:
-    """``trilinear(u, a, b)`` for each b of the iterable ``bs``, in order.
-
-    u and a are shaped once, and u and the gradient of each paired
-    component of a are kept in one sampler, so each is sampled once per
-    evaluation grid the sweep meets; each b is shaped, sampled afresh and
-    drawn from ``bs`` only at its turn, so a generator of b's is never held
-    whole.  Every value is bit-identical to a call of its own, and a b on
-    another grid raises ``GridError`` at its turn, after the values before it.
-    """
-    sample = _Sampler()
-    shapes = _shape(u), _shape(a)
-    out = []
-    for b in bs:
-        if a.grid != u.grid or b.grid != u.grid:
-            raise GridError("trilinear operands live on different grids")
-        form = _tri_reads(u.grid, (*shapes, _shape(b)))
-        out.append(_tri(sample, (u, a, b), ("u", "a", None), form) if form else 0.0)
-        del b  # hold no b while the next one is drawn
-    return out
+def _shape(f: VectorField | SpectralField) -> list[tuple[bool, int]]:
+    """(nonzero, axis bandwidth) of each component of f (of f itself, for a scalar field)."""
+    comps = f.components if isinstance(f, VectorField) else (f,)
+    return [(c.max_abs_coeff() != 0.0, c.band_axis) for c in comps]
 
 
-def _shape(f: VectorField) -> list[tuple[bool, int]]:
-    """(nonzero, axis bandwidth) of each component of f."""
-    return [(c.max_abs_coeff() != 0.0, c.band_axis) for c in f.components]
+def _product_form(grid: TorusGrid, a, b) -> tuple[TorusGrid, tuple] | None:
+    """The form of the product of two scalar fields of ``_shape`` entries
+    a and b: None if either is zero, else the grid of ``_eval_grid_for``
+    and the two bands it and ``restrict_to`` read."""
+    if not (a[0] and b[0]):
+        return None
+    bands = a[1], b[1]
+    return _eval_grid_for(grid, bands), bands
 
 
 def _tri_reads(grid: TorusGrid, shapes) -> tuple[TorusGrid, list] | None:
@@ -269,9 +271,10 @@ def _contract(xs: list, gys: list, zs: list) -> float:
 
 def _stress(u: VectorField) -> Iterator[tuple[tuple[int, int], SpectralField]]:
     """((i, j), product(u_i, u_j)) for i <= j; each u_i is sampled once per grid."""
-    sample = _Sampler()
+    sample, shape = _Sampler(), _shape(u)
     for i, j in itertools.combinations_with_replacement(range(3), 2):
-        yield (i, j), _product(u.components[i], u.components[j], sample, (i, j))
+        form = _product_form(u.grid, shape[i], shape[j])
+        yield (i, j), _product(sample, (u.components[i], u.components[j]), (i, j), form)
 
 
 def pressure_from_velocity(u: VectorField) -> SpectralField:

@@ -100,7 +100,6 @@ class SuiteConfig:
     out_dir: str | None = None
     threads: int = 1
     svg: bool = False
-    budget_bytes: int | None = None
 
     def __post_init__(self):
         if self.suite not in SUITES:
@@ -189,9 +188,7 @@ def estimate_bytes(n: int) -> int:
     return 480 * n**3
 
 
-def _budget(cfg: SuiteConfig) -> int:
-    if cfg.budget_bytes is not None:
-        return int(cfg.budget_bytes)
+def _budget() -> int:
     env = os.environ.get("LPVERIFY_BUDGET_BYTES")
     return int(env) if env else 3 * 1024**3
 
@@ -604,8 +601,7 @@ def _suite_s_half(cfg: SuiteConfig, grid: TorusGrid, win: DyadicWindow) -> Suite
     for k in range(sweep[0], sweep[1] + 1):
         worst = max(worst, leds[k].terms["recon_residual"] / leds[k].scale)
     checks.append(_check("j-reconstruction-s=1/2", "lowpass-paired-identity", worst, 1.0, cfg.tol("j-recon")))
-    rep = ledger.diagnostics(u, "1/2")
-    checks.append(_info("u0-sup-norm", "fixed-cut-tail-size", rep.u0_linf))
+    checks.append(_info("u0-sup-norm", "fixed-cut-tail-size", norms.lp_norm(dyadic.tail(u, 0), math.inf)))
     ser = ledger._removed_series([leds[k] for k in top], "J1_low")
     _judge_series(cfg, got, ser, "removed-J1_low-top-s=1/2", "removed-part-vanishing", leds[top[0]].scale)
     return got
@@ -719,9 +715,9 @@ def _judge_series(cfg: SuiteConfig, got: SuiteResult, ser: ledger.DecaySeries, n
 def run_suite(config: SuiteConfig) -> RunReport:
     """Execute a named suite and assemble (and optionally write) its report."""
     need = estimate_bytes(config.n)
-    if need > _budget(config):
+    if need > _budget():
         raise ResourceBudgetError(
-            f"estimated {need/1e9:.2f} GB exceeds budget {_budget(config)/1e9:.2f} GB"
+            f"estimated {need/1e9:.2f} GB exceeds budget {_budget()/1e9:.2f} GB"
         )
     # validate the window geometry up front so bad configs fail fast
     grid = TorusGrid(config.n, config.box)

@@ -280,7 +280,7 @@ def test_ledger_and_audit_sample_each_filtrate_once(grid32, monkeypatch):
     plans = _spy_plans(monkeypatch)
     assert ws.run(ledger._classical(ws, Fraction(1, 2)), ledger._audit(ws)) == want
     (plan,) = plans
-    assert not plan.sampler.held  # each sample is dropped after its last use
+    assert not plan.filtrates and not plan.sampler.held  # each is dropped after its last use
     slots = {slot for *_, reads in plan.steps for slot in reads}
     filtrates = {filt for ((filt, _), _, grad) in slots if not grad}
     gradients = {filt for ((filt, _), _, grad) in slots if grad}
@@ -418,7 +418,7 @@ def test_support_audit_on_shared_workspace(grid32, monkeypatch, order):
     assert led == fresh
     if order == "last-use":
         (plan,) = plans
-        assert not plan.sampler.held
+        assert not plan.filtrates and not plan.sampler.held
         # live samples never exceed the plan's stated peak, and reach it
         assert max(levels) == plan.peak_bytes
         assert len(sampled) == len(set(sampled))  # no slot is sampled twice
@@ -437,12 +437,12 @@ def test_plans_hold_nothing_after_they_run(grid32, monkeypatch, name):
     literal = _audit_products_literal(u, k)
     plans = _spy_plans(monkeypatch)
     alone = ledger.support_audit(u, k)
-    assert not plans[-1].sampler.held
+    assert not plans[-1].filtrates and not plans[-1].sampler.held
     ws = ledger._Workspace(u, k)
     led, rep = ws.run(ledger._classical(ws, Fraction(1, 2)), ledger._audit(ws))
-    assert not plans[-1].sampler.held
+    assert not plans[-1].filtrates and not plans[-1].sampler.held
     assert led == ledger.ledger_classical(u, k)
-    assert len(plans) == 3 and not plans[-1].sampler.held
+    assert len(plans) == 3 and not plans[-1].filtrates and not plans[-1].sampler.held
     assert rep == alone and rep.violations == 0
     assert len(rep.rows) == len(literal)
     for r, (term, l, lo, hi, max_out, scale) in zip(rep.rows, literal):

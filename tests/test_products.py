@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lpverify import TorusGrid, VectorField, fractional_laplacian, transform_forward
-from lpverify.errors import AliasingGuardError, GridError
+from lpverify.errors import AliasingGuardError, FieldError, GridError
 from lpverify.spectral import TWO_PI, SpectralField
 from lpverify import dyadic, forge, norms, products
 
@@ -293,48 +293,45 @@ def _sweep_operands(grid):
     return u, bs
 
 
-def test_trilinear_sweep_matches_per_call_quadrature(monkeypatch, grid32):
+def test_trilinear_matches_per_call_quadrature(grid32):
     u, bs = _sweep_operands(grid32)
     a = _band_field(grid32, 4, (1, 1))
     for x, y in ((u, u), (u, a), (a, u)):
         want = [_trilinear_per_call(x, y, b) for b in bs]
-        calls = _count_samples(monkeypatch)
-        got = products._trilinear_sweep(x, y, iter(bs))
-        monkeypatch.undo()
+        got = [products.trilinear(x, y, b) for b in bs]
         assert [v.hex() for v in got] == [v.hex() for v in want]  # bit for bit, signs of zeros too
-        # per grid: u and the paired components of grad y once (3 + 3 per
-        # pair), then the paired components of each b on that grid
-        assert {m: calls.count(m) for m in set(calls)} == {8: 3 + 9 + 3 + 3, 16: 3 + 6 + 2, 32: 3 + 9 + 3}
-    assert products._trilinear_sweep(u, u, [bs[1]]) == [products.trilinear(u, u, bs[1])]
 
 
-def test_trilinear_sweep_zero_factors(monkeypatch, grid32):
+def test_trilinear_zero_factors(monkeypatch, grid32):
     u, bs = _sweep_operands(grid32)
     zero = VectorField.zeros(grid32)
     calls = _count_samples(monkeypatch)
-    got = products._trilinear_sweep(u, u, [bs[2], bs[2]]) + products._trilinear_sweep(zero, u, bs)
+    got = [products.trilinear(u, u, bs[2])] + [products.trilinear(zero, u, b) for b in bs]
     assert calls == []  # a zero factor samples nothing
     monkeypatch.undo()
-    want = [_trilinear_per_call(u, u, bs[2])] * 2 + [_trilinear_per_call(zero, u, b) for b in bs]
-    assert [v.hex() for v in got] == [v.hex() for v in want] == [(0.0).hex()] * 7
+    want = [_trilinear_per_call(u, u, bs[2])] + [_trilinear_per_call(zero, u, b) for b in bs]
+    assert [v.hex() for v in got] == [v.hex() for v in want] == [(0.0).hex()] * 6
 
 
-def test_trilinear_sweep_rejects_mismatched_grid(grid16, grid32):
+def test_trilinear_rejects_mismatched_grid(grid16, grid32):
     u, bs = _sweep_operands(grid32)
-    drawn = []
+    with pytest.raises(GridError):
+        products.trilinear(u, u, forge.taylor_green(grid16))
+    with pytest.raises(GridError):
+        products.trilinear(VectorField.zeros(grid32), u, forge.taylor_green(grid16))
+    with pytest.raises(GridError):
+        products.trilinear(u, forge.taylor_green(grid16), bs[0])
 
-    def operands():
-        for b in (bs[0], forge.taylor_green(grid16), bs[1]):
-            drawn.append(b)
-            yield b
 
-    with pytest.raises(GridError):
-        products._trilinear_sweep(u, u, operands())
-    assert len(drawn) == 2  # raised at the mismatched operand, before the rest are drawn
-    with pytest.raises(GridError):
-        products._trilinear_sweep(VectorField.zeros(grid32), u, [forge.taylor_green(grid16)])
-    with pytest.raises(GridError):
-        products._trilinear_sweep(u, forge.taylor_green(grid16), bs)
+def test_products_reject_complex_fields(grid32):
+    # e^{ix}: one mode without its conjugate, so no real field
+    n = grid32.n
+    f = SpectralField.on_support(grid32, np.array([n * n]), np.array([1.0 + 0j]), real_valued=False)
+    for dst in (grid32, TorusGrid(8, grid32.box_length)):
+        with pytest.raises(FieldError):
+            products.samples_on(f, dst)
+    with pytest.raises(FieldError):
+        products.product(f, f)
 
 
 # -- pressure ------------------------------------------------------------------

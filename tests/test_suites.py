@@ -33,8 +33,9 @@ def test_default_s_values():
     assert cfg.s_values == ("1", "5/6", "1/2")
 
 
-def test_budget_guard():
-    cfg = suites.SuiteConfig(suite="core", n=256, budget_bytes=10**6)
+def test_budget_guard(monkeypatch):
+    monkeypatch.setenv("LPVERIFY_BUDGET_BYTES", str(10**6))
+    cfg = suites.SuiteConfig(suite="core", n=256)
     with pytest.raises(ResourceBudgetError):
         suites.run_suite(cfg)
 
